@@ -2,9 +2,10 @@
 
 A k-trestle is a 2-connected spanning subgraph of maximum degree at
 most k.  This package decides and constructs k-trestles in graph
-squares: a flow characterisation for trees, a matching-driven
-constructive route for S(K_{1,4})-free graphs, forbidden-subtree
-obstruction witnesses, and brute-force oracles for cross-validation.
+squares: an arc-assignment characterisation for trees, decided by one
+leaf-to-root pass, a matching-driven constructive route for
+S(K_{1,4})-free graphs, forbidden-subtree obstruction witnesses, and
+brute-force oracles for cross-validation.
 """
 
 from .graphs import (
@@ -32,6 +33,7 @@ from .obstruction import (
     derive_base_patterns,
     f_family,
 )
+from .oracle import SearchBudgetExhausted
 from .patterns import SpiderEmbedding, centre_witness, centres, is_caterpillar, is_spider_free
 from .path_cover import LinearForest, PathCover, gallai_milgram_cover, linear_forest_for
 from .tree_trestle import build_tree_trestle, decide_tree_trestle
@@ -50,6 +52,7 @@ __all__ = [
     "Matching",
     "ObstructionWitness",
     "PathCover",
+    "SearchBudgetExhausted",
     "SpiderEmbedding",
     "TrestleCertificate",
     "Tree",

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success or feasible, 1 infeasible / obstruction found (a
 verdict, with the witness on stdout), 2 usage error, 3 internal
-invariant violation.  Identical invocations produce byte-identical
-output.
+invariant violation, 4 search budget exhausted (no verdict).  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .graphs import (
 )
 from .matching_flow import theorem1_matching
 from .obstruction import check_obstruction, derive_base_patterns, f_family
-from .oracle import FOUND, SearchBudget, brute_force_trestle, enumerate_trees
+from .oracle import FOUND, SearchBudget, SearchBudgetExhausted, brute_force_trestle, enumerate_trees
 from .patterns import centres, tree_profile
 from .tree_trestle import build_tree_trestle, decide_tree_trestle
 from .verify import TrestleCertificate, verify_trestle
@@ -171,13 +171,13 @@ def _cmd_gen_family(args) -> int:
 def _validate_one(task: tuple[bytes, int, int]) -> tuple[int, bool, bool, bool]:
     g6, k, budget_nodes = task
     t = as_tree(read_graph6(g6))
-    flow_ok = decide_tree_trestle(t, k) is not None
+    decide_ok = decide_tree_trestle(t, k) is not None
     brute = brute_force_trestle(square(t), k, SearchBudget(node_limit=budget_nodes))
     brute_ok = brute.status == FOUND
-    agree = flow_ok == brute_ok
+    agree = decide_ok == brute_ok
     if k == 3:
-        agree = agree and (check_obstruction(t) is None) == flow_ok
-    return t.n, flow_ok, brute_ok, agree
+        agree = agree and (check_obstruction(t) is None) == decide_ok
+    return t.n, decide_ok, brute_ok, agree
 
 
 def _cmd_validate(args) -> int:
@@ -191,8 +191,8 @@ def _cmd_validate(args) -> int:
     else:
         results = [_validate_one(task) for task in tasks]
     by_n: dict[int, list[tuple[bool, bool, bool]]] = {}
-    for n, flow_ok, brute_ok, agree in results:
-        by_n.setdefault(n, []).append((flow_ok, brute_ok, agree))
+    for n, decide_ok, brute_ok, agree in results:
+        by_n.setdefault(n, []).append((decide_ok, brute_ok, agree))
     agreed = 0
     for n in sorted(by_n):
         rows = by_n[n]
@@ -263,6 +263,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except SearchBudgetExhausted:
+        print("error: search budget exhausted", file=sys.stderr)
+        return 4
     except (DomainError, FormatError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

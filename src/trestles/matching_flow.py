@@ -1,12 +1,12 @@
-"""Bipartite matching, minimal Hall violators, and arc-assignment flow.
+"""Bipartite matching, minimal Hall violators, and tree arc assignments.
 
 Three decision engines live here:
 
 * the one-end-in-X matching used by the general 3-trestle condition,
 * inclusion-minimal Hall violators in the red-black bipartite subgraph,
-* the flow-feasibility test for arc assignments on trees (the i(v)/o(v)
-  demand system) together with assignment extraction from a known
-  trestle.
+* the leaf-to-root feasibility pass for arc assignments on trees (the
+  i(v)/o(v) demand system) together with assignment extraction from a
+  known trestle.
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ class Matching:
 
     def covered(self) -> set[int]:
         return {v for e in self.edge_list for v in e}
-
-    def partner(self, v: int) -> int | None:
-        for a, b in self.edge_list:
-            if a == v:
-                return b
-            if b == v:
-                return a
-        return None
 
     def size(self) -> int:
         return len(self.edge_list)
@@ -80,11 +72,13 @@ class ArcAssignment:
         else:
             self.values.pop((u, v), None)
 
+    # u runs over tree neighbours, so the edge check of value() is not
+    # repeated; it would scan adj[v] again and make a star quadratic
     def in_sum(self, v: int) -> int:
-        return sum(self.value(u, v) for u in self.tree.adj[v])
+        return sum(self.values.get((u, v), 0) for u in self.tree.adj[v])
 
     def out_sum(self, v: int) -> int:
-        return sum(self.value(v, u) for u in self.tree.adj[v])
+        return sum(self.values.get((v, u), 0) for u in self.tree.adj[v])
 
     def satisfies_demands(self, k: int) -> bool:
         """The exact in-demand / out-cap system for parameter ``k``."""
@@ -107,20 +101,39 @@ class ArcAssignment:
 
 
 def _augment(adjacency: dict[int, list[int]], free: int, match_of: dict[int, int]) -> bool:
-    """One round of Kuhn's augmenting-path search from ``free``."""
-    visited: set[int] = set()
+    """One round of Kuhn's augmenting-path search from ``free``.
 
-    def try_vertex(x: int) -> bool:
-        for y in adjacency.get(x, ()):
+    Depth-first with an explicit stack, in the order of the recursive
+    formulation: left vertices scan their neighbours in list order and
+    descend into the partner of the first unvisited matched neighbour.
+    ``via[i]`` is the right vertex whose partner is ``lefts[i]``.
+    """
+    visited: set[int] = set()
+    lefts = [free]
+    scans = [iter(adjacency.get(free, ()))]
+    via: list[int] = [-1]
+    while scans:
+        for y in scans[-1]:
             if y in visited:
                 continue
             visited.add(y)
-            if y not in match_of or try_vertex(match_of[y]):
-                match_of[y] = x
+            if y not in match_of:
+                # flip the path: y to the deepest left vertex, then each
+                # descended-through right vertex to the left one above it
+                match_of[y] = lefts[-1]
+                for i in range(len(lefts) - 1, 0, -1):
+                    match_of[via[i]] = lefts[i - 1]
                 return True
-        return False
-
-    return try_vertex(free)
+            x = match_of[y]
+            lefts.append(x)
+            scans.append(iter(adjacency.get(x, ())))
+            via.append(y)
+            break
+        else:
+            lefts.pop()
+            scans.pop()
+            via.pop()
+    return False
 
 
 def max_bipartite_matching(left: list[int], adjacency: dict[int, list[int]]) -> dict[int, int]:
@@ -226,75 +239,22 @@ def minimal_hall_violator(g: Graph, red: set[int]) -> HallViolator | None:
 
 
 # ---------------------------------------------------------------------------
-# Flow feasibility for arc assignments.
+# Feasibility of arc assignments on trees.
 # ---------------------------------------------------------------------------
-
-
-class _FlowNet:
-    """Tiny Edmonds-Karp max-flow, adjacency-list residual network."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[int] = []
-        self.cap: list[int] = []
-        self.nxt: list[int] = []
-        self.first = [-1] * n
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        idx = len(self.head)
-        for a, b, c in ((u, v, cap), (v, u, 0)):
-            self.head.append(b)
-            self.cap.append(c)
-            self.nxt.append(self.first[a])
-            self.first[a] = len(self.head) - 1
-        return idx
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while True:
-            parent_edge = [-1] * self.n
-            parent_edge[s] = -2
-            queue = [s]
-            while queue and parent_edge[t] == -1:
-                nxt_queue = []
-                for u in queue:
-                    e = self.first[u]
-                    while e != -1:
-                        v = self.head[e]
-                        if self.cap[e] > 0 and parent_edge[v] == -1:
-                            parent_edge[v] = e
-                            nxt_queue.append(v)
-                        e = self.nxt[e]
-                queue = nxt_queue
-            if parent_edge[t] == -1:
-                return total
-            # trace back, find bottleneck
-            bottleneck = None
-            v = t
-            while v != s:
-                e = parent_edge[v]
-                bottleneck = self.cap[e] if bottleneck is None else min(bottleneck, self.cap[e])
-                v = self.head[e ^ 1]
-            v = t
-            while v != s:
-                e = parent_edge[v]
-                self.cap[e] -= bottleneck
-                self.cap[e ^ 1] += bottleneck
-                v = self.head[e ^ 1]
-            total += bottleneck
-
-    def flow_on(self, edge_index: int) -> int:
-        # flow equals the residual capacity of the reverse edge
-        return self.cap[edge_index ^ 1]
 
 
 def feasible_assignment(t: Tree, k: int) -> ArcAssignment | None:
     """An integral assignment meeting the i/o demand system, or None.
 
-    Network: source -> v_out with capacity k - n(v); u_out -> v_in for
-    every arc (u, v), unbounded; v_in -> sink with capacity
-    max{0, n(v) - 2}.  Feasible iff the max flow saturates every sink
-    edge; the arc values are read off the integral flow.
+    Every vertex v must take in exactly max{0, n(v) - 2} and may send
+    out at most k - n(v).  One pass from the leaves to the root (vertex
+    0) decides it: once a child's subtree is settled, the child's
+    remaining in-demand can only come from its parent, and its
+    remaining out-capacity is of use only to its parent.  So the parent
+    sends the child exactly its remaining demand and takes as much of
+    its own demand from the child as the child can spare; taking more
+    from a child never hurts.  Infeasible iff some capacity goes
+    negative or the root's demand is left unmet.
     """
     if k < 2:
         raise DomainError("trestle parameter k must be at least 2")
@@ -303,30 +263,32 @@ def feasible_assignment(t: Tree, k: int) -> ArcAssignment | None:
     profile = tree_profile(t)
     if any(profile.n(v) > k for v in range(t.n)):
         return None
-    demand = [max(0, profile.n(v) - 2) for v in range(t.n)]
-    total_demand = sum(demand)
-    if total_demand == 0:
-        return ArcAssignment(t)
-    big = total_demand + 1
-    # node layout: source, sink, v_out = 2 + v, v_in = 2 + n + v
-    net = _FlowNet(2 + 2 * t.n)
-    source, sink = 0, 1
-    for v in range(t.n):
-        net.add_edge(source, 2 + v, k - profile.n(v))
-        net.add_edge(2 + t.n + v, sink, demand[v])
-    arc_edge = {}
-    for u in range(t.n):
-        for v in t.adj[u]:
-            arc_edge[(u, v)] = net.add_edge(2 + u, 2 + t.n + v, big)
-    if net.max_flow(source, sink) < total_demand:
-        return None
+    need = [max(0, profile.n(v) - 2) for v in range(t.n)]
+    spare = [k - profile.n(v) for v in range(t.n)]
+    parent = [-1] * t.n
+    parent[0] = 0
+    order = [0]
+    for v in order:
+        for w in t.adj[v]:
+            if parent[w] == -1:
+                parent[w] = v
+                order.append(w)
     result = ArcAssignment(t)
-    for (u, v), idx in sorted(arc_edge.items()):
-        flow = net.flow_on(idx)
-        if flow:
-            result.set_value(u, v, flow)
+    for c in reversed(order[1:]):
+        if spare[c] < 0:
+            return None
+        p = parent[c]
+        up = min(spare[c], need[p])
+        if up:
+            result.set_value(c, p, up)
+            need[p] -= up
+        if need[c]:
+            result.set_value(p, c, need[c])
+            spare[p] -= need[c]
+    if spare[0] < 0 or need[0] > 0:
+        return None
     if not result.satisfies_demands(k):
-        raise InternalInvariantError("flow solution violates the demand system")
+        raise InternalInvariantError("leaf-to-root pass violates the demand system")
     return result
 
 

@@ -25,6 +25,7 @@ from .oracle import (
     EXHAUSTED,
     FOUND,
     SearchBudget,
+    SearchBudgetExhausted,
     brute_force_trestle,
     enumerate_trees,
     tree_canonical_form,
@@ -268,7 +269,7 @@ def derive_base_patterns(
     if confirm_budget is not None:
         result = brute_force_trestle(square(t0), 3, confirm_budget)
         if result.status == EXHAUSTED:
-            raise DomainError(
+            raise SearchBudgetExhausted(
                 "undetermined: brute-force confirmation did not finish within budget"
             )
         if result.status == FOUND:

@@ -61,6 +61,10 @@ class TrestleSearchResult:
     edges: tuple[tuple[int, int], ...] | None = None
 
 
+class SearchBudgetExhausted(DomainError):
+    """A search ran out of its node or time budget before a verdict."""
+
+
 class _OutOfBudget(Exception):
     pass
 
@@ -240,8 +244,8 @@ def brute_force_trestle_by_degrees(g: Graph, k: int, budget: SearchBudget | None
 def hamilton_cycle(g: Graph, budget: SearchBudget | None = None) -> list[int] | None:
     """Backtracking Hamilton cycle search; None means none exists.
 
-    Raises DomainError on exhausted budget so callers never mistake a
-    cutoff for a verdict.
+    Raises SearchBudgetExhausted on exhausted budget so callers never
+    mistake a cutoff for a verdict.
     """
     n = g.n
     if n < 3:
@@ -302,7 +306,7 @@ def hamilton_cycle(g: Graph, budget: SearchBudget | None = None) -> list[int] | 
         if rec():
             return list(path)
     except _OutOfBudget:
-        raise DomainError("Hamilton search budget exhausted") from None
+        raise SearchBudgetExhausted("Hamilton search budget exhausted") from None
     return None
 
 
@@ -311,7 +315,7 @@ def fleischner_hamilton(g: Graph, budget: SearchBudget | None = None) -> list[in
 
     Existence is guaranteed for 2-connected inputs, so a fruitless
     exhaustive search indicates an implementation bug and is raised as
-    such; a budget cutoff is raised as a DomainError with the instance.
+    such; a budget cutoff is raised as SearchBudgetExhausted.
     """
     if not is_two_connected(g):
         raise DomainError("input graph is not 2-connected")

@@ -1,11 +1,12 @@
 """Decide and build bounded-degree 2-connected spanning subgraphs of tree squares.
 
-The decision procedure is the arc-assignment flow test; the builder
-turns a feasible assignment into a certificate whose vertex degrees are
-exactly o(v) + max{2, n(v)}, by recursing on the branch trees hanging
-off a pivot vertex with at least three non-leaf neighbours and gluing
-the sub-certificates together with a degree-prescribed tree on the
-pivot's neighbourhood.
+The decision procedure is the leaf-to-root arc-assignment pass of
+``matching_flow.feasible_assignment``; the builder turns a feasible
+assignment into a certificate whose vertex degrees are exactly
+o(v) + max{2, n(v)}, by recursing on the branch trees hanging off a
+pivot vertex with at least three non-leaf neighbours and gluing the
+sub-certificates together with a degree-prescribed tree on the pivot's
+neighbourhood.
 """
 
 from __future__ import annotations

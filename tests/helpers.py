@@ -1,6 +1,8 @@
 """Deterministic instance generators shared by unit and acceptance tests."""
 
+import bisect
 import functools
+import heapq
 import random
 
 from trestles.graphs import Graph, Tree, is_two_connected
@@ -17,22 +19,60 @@ def base_patterns():
 
 
 def random_bounded_tree(rng: random.Random, n: int, maxdeg: int = 4) -> Tree:
-    """Random labelled tree with all degrees at most maxdeg."""
+    """Random labelled tree with all degrees at most maxdeg.
+
+    Vertex v joins a uniform choice among the earlier vertices with
+    degree below maxdeg; ``open_ids`` keeps those vertices sorted, so
+    the draws match a fresh scan of range(v) in linear time per tree.
+    """
     while True:
         edges = []
         deg = [0] * n
+        open_ids: list[int] = []
         ok = True
         for v in range(1, n):
-            candidates = [u for u in range(v) if deg[u] < maxdeg]
-            if not candidates:
+            if deg[v - 1] < maxdeg:
+                open_ids.append(v - 1)
+            if not open_ids:
                 ok = False
                 break
-            u = rng.choice(candidates)
+            u = rng.choice(open_ids)
             edges.append((u, v))
             deg[u] += 1
             deg[v] += 1
+            if deg[u] == maxdeg:
+                del open_ids[bisect.bisect_left(open_ids, u)]
         if ok:
             return Tree(n, edges)
+
+
+def prufer_tree(seq: list[int]) -> Tree:
+    """The labelled tree on len(seq) + 2 vertices with Prüfer sequence seq."""
+    n = len(seq) + 2
+    remaining = [0] * n
+    for v in seq:
+        remaining[v] += 1
+    leaves = [v for v in range(n) if remaining[v] == 0]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        edges.append((heapq.heappop(leaves), v))
+        remaining[v] -= 1
+        if remaining[v] == 0:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Tree(n, edges)
+
+
+def path_ordered_comb(spine: int) -> Tree:
+    """Spine 0..spine-1 in path order with a pendant P2 at every spine
+    vertex, leg vertices numbered after the spine: every inner spine
+    vertex is a pivot, chained one after another."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    for i in range(spine):
+        leg = spine + 2 * i
+        edges += [(i, leg), (leg, leg + 1)]
+    return Tree(3 * spine, edges)
 
 
 def random_caterpillar(rng: random.Random, n: int) -> Tree:

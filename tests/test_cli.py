@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from trestles import general_trestle, oracle
 from trestles.cli import main
-from trestles.graphs import path_graph, spider, write_edgelist, write_graph6
+from trestles.graphs import cycle_graph, path_graph, spider, write_edgelist, write_graph6
 
 
 @pytest.fixture
@@ -111,6 +112,23 @@ def test_usage_error_on_bad_format(capsys, tmp_path):
     path.write_bytes(b"garbage\n")
     code = main(["decide", str(path), "--k", "3"])
     assert code == 2
+
+
+def test_budget_exhaustion_has_its_own_exit_code(capsys, monkeypatch, tmp_path):
+    # C6 is 2-connected, so build falls back to the Hamilton search,
+    # here with a budget too small to finish
+    path = tmp_path / "c6.el"
+    path.write_bytes(write_edgelist(cycle_graph(6)))
+    monkeypatch.setattr(
+        general_trestle,
+        "fleischner_hamilton",
+        lambda g: oracle.fleischner_hamilton(g, oracle.SearchBudget(node_limit=3)),
+    )
+    code = main(["build", str(path), "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: search budget exhausted\n"
 
 
 def test_validate_small(capsys):

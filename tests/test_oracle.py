@@ -14,6 +14,7 @@ from trestles.oracle import (
     FOUND,
     NONE,
     SearchBudget,
+    SearchBudgetExhausted,
     brute_force_trestle,
     brute_force_trestle_by_degrees,
     enumerate_trees,
@@ -56,6 +57,12 @@ def test_budget_exhaustion():
     g = square(complete_graph(9))
     r = brute_force_trestle(g, 3, SearchBudget(node_limit=5))
     assert r.status == EXHAUSTED
+
+
+def test_hamilton_budget_exhaustion_is_a_domain_error_naming_the_budget():
+    with pytest.raises(SearchBudgetExhausted, match="budget") as info:
+        hamilton_cycle(cycle_graph(6), SearchBudget(node_limit=3))
+    assert isinstance(info.value, DomainError)
 
 
 def test_found_certificates_are_trestles():

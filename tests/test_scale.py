@@ -1,0 +1,91 @@
+"""Deep inputs: the tree decision and Kuhn's search must not recurse.
+
+The decisions below run on 10^5-vertex trees; the matching instance
+needs an augmenting path longer than the interpreter's recursion limit.
+"""
+
+import random
+import sys
+
+from helpers import path_ordered_comb, random_bounded_tree
+from trestles.graphs import Tree
+from trestles.matching_flow import max_bipartite_matching
+from trestles.patterns import tree_profile
+from trestles.tree_trestle import decide_tree_trestle
+
+N = 100_000
+
+
+def _starved_vertex(t: Tree, k: int) -> int | None:
+    """A vertex whose in-demand exceeds its neighbours' out-capacity.
+
+    Its existence proves infeasibility without the decision procedure.
+    """
+    profile = tree_profile(t)
+    for v in range(t.n):
+        if max(0, profile.n(v) - 2) > sum(k - profile.n(u) for u in t.adj[v]):
+            return v
+    return None
+
+
+def test_random_bounded_tree_decisions():
+    t = random_bounded_tree(random.Random(1), N, maxdeg=3)
+    assert decide_tree_trestle(t, 3) is None
+    assert _starved_vertex(t, 3) is not None
+    a = decide_tree_trestle(t, 4)
+    assert a is not None and a.satisfies_demands(4)
+
+
+def test_path_ordered_comb_is_feasible_at_k3():
+    t = path_ordered_comb(N // 3)
+    a = decide_tree_trestle(t, 3)
+    assert a is not None and a.satisfies_demands(3)
+
+
+def test_large_star_decides_in_linear_time():
+    # a hub of degree N - 1: demand sums must not rescan its adjacency
+    t = Tree(N, [(0, v) for v in range(1, N)])
+    a = decide_tree_trestle(t, 2)
+    assert a is not None and a.satisfies_demands(2)
+
+
+def _kuhn_recursive(left, adjacency):
+    """Reference: the textbook recursive formulation."""
+    match_of = {}
+
+    def try_vertex(x, visited):
+        for y in adjacency.get(x, ()):
+            if y in visited:
+                continue
+            visited.add(y)
+            if y not in match_of or try_vertex(match_of[y], visited):
+                match_of[y] = x
+                return True
+        return False
+
+    for x in left:
+        try_vertex(x, set())
+    return {x: y for y, x in match_of.items()}
+
+
+def test_matching_follows_the_recursive_search():
+    rng = random.Random(5)
+    for _ in range(300):
+        left = list(range(rng.randint(1, 12)))
+        rng.shuffle(left)
+        right = range(100, 100 + rng.randint(1, 12))
+        adjacency = {x: sorted(rng.sample(right, rng.randint(0, len(right)))) for x in left}
+        got = max_bipartite_matching(left, adjacency)
+        want = _kuhn_recursive(left, adjacency)
+        assert got == want and list(got.items()) == list(want.items())
+
+
+def test_augmenting_path_longer_than_recursion_limit():
+    # x_i (i >= 1) first takes r_i; x_0 can only have r_1, which shifts
+    # every x_i onto r_{i+1} along one augmenting path of length m
+    m = 2 * sys.getrecursionlimit()
+    adjacency = {0: [1]}
+    adjacency.update({i: [i, i + 1] for i in range(1, m)})
+    left = list(range(1, m)) + [0]
+    got = max_bipartite_matching(left, adjacency)
+    assert got == {0: 1, **{i: i + 1 for i in range(1, m)}}
