@@ -7,8 +7,7 @@ randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 
 class DomainError(ValueError):
@@ -138,25 +137,6 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.arcs()})"
 
 
-@dataclass(frozen=True)
-class EdgeSubgraph:
-    """An edge subset of a host graph, stored as a sorted pair list."""
-
-    host: Graph
-    edge_list: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def of(host: Graph, edges: Iterable[tuple[int, int]]) -> "EdgeSubgraph":
-        es = _normalize_edges(host.n, edges)
-        for u, v in es:
-            if not host.has_edge(u, v):
-                raise DomainError(f"({u},{v}) is not an edge of the host graph")
-        return EdgeSubgraph(host, tuple(es))
-
-    def as_graph(self) -> Graph:
-        return Graph(self.host.n, self.edge_list)
-
-
 def square(g: Graph) -> Graph:
     """The square of ``g``: join vertices at distance 1 or 2."""
     edges = set(g.edges())
@@ -229,15 +209,6 @@ def is_two_connected(g: Graph) -> bool:
     return is_connected(g) and not cutvertices(g)
 
 
-def symmetric_orientation(t: Graph) -> Digraph:
-    """Replace every edge by its pair of antiparallel arcs."""
-    arcs = []
-    for u, v in t.edges():
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return Digraph(t.n, arcs)
-
-
 def is_path_graph(g: Graph) -> bool:
     """True iff ``g`` is a (possibly trivial) path on all its vertices."""
     if g.n == 0:
@@ -257,22 +228,6 @@ def path_endpoints(g: Graph) -> tuple[int, int]:
         raise DomainError("not a non-trivial path")
     a, b = [v for v in range(g.n) if g.degree(v) == 1]
     return a, b
-
-
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:
-    """Induced subgraph with relabelled vertices.
-
-    Returns the subgraph plus the old-id list indexed by new id (the
-    mapping is ascending, hence deterministic).
-    """
-    old = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(old)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges()
-        if u in index and v in index
-    ]
-    return Graph(len(old), edges), old
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +425,3 @@ def components(g: Graph, removed: Iterable[int] = ()) -> list[list[int]]:
         comps.append(sorted(comp))
     comps.sort(key=lambda c: c[0])
     return comps
-
-
-def distance_le_2_pairs(g: Graph) -> Iterator[tuple[int, int]]:
-    sq = square(g)
-    return iter(sq.edges())

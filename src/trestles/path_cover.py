@@ -34,9 +34,6 @@ class PathCover:
     def start_vertices(self) -> tuple[int, ...]:
         return tuple(p[0] for p in self.paths)
 
-    def terminal_vertices(self) -> tuple[int, ...]:
-        return tuple(p[-1] for p in self.paths)
-
     def check(self) -> None:
         d = self.digraph
         seen: set[int] = set()

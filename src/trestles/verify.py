@@ -79,15 +79,14 @@ class VerificationReport:
         ]
 
 
-def _square_edge_set(host: Graph) -> set[tuple[int, int]]:
-    # recomputed here on purpose; do not call the builder-side square()
-    pairs = set(host.edges())
-    for v in range(host.n):
-        nbrs = host.adj[v]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                pairs.add((nbrs[i], nbrs[j]))
-    return pairs
+def _in_square(adj: list[set[int]], u: int, v: int) -> bool:
+    """Whether (u, v), with u < v, is an edge of the host's square.
+
+    Recomputed here on purpose; do not call the builder-side square().
+    """
+    if not 0 <= u < v < len(adj):
+        return False
+    return v in adj[u] or not adj[u].isdisjoint(adj[v])
 
 
 def _biconnected(n: int, edges) -> tuple[bool, str]:
@@ -136,8 +135,8 @@ def verify_trestle(cert: TrestleCertificate) -> VerificationReport:
     """Full check battery; every failure is a report entry, never a raise."""
     report = VerificationReport()
     host = cert.host
-    sq = _square_edge_set(host)
-    bad = [e for e in cert.edge_list if e not in sq]
+    adj = [set(nbrs) for nbrs in host.adj]
+    bad = [e for e in cert.edge_list if not _in_square(adj, *e)]
     report.add(
         "edges_in_square",
         not bad,

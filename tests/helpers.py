@@ -64,6 +64,17 @@ def prufer_tree(seq: list[int]) -> Tree:
     return Tree(n, edges)
 
 
+def prufer_trees():
+    """Hypothesis strategy: uniform labelled trees on 3..40 vertices."""
+    from hypothesis import strategies as st
+
+    return (
+        st.integers(min_value=3, max_value=40)
+        .flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+        .map(prufer_tree)
+    )
+
+
 def path_ordered_comb(spine: int) -> Tree:
     """Spine 0..spine-1 in path order with a pendant P2 at every spine
     vertex, leg vertices numbered after the spine: every inner spine
@@ -99,6 +110,32 @@ def sprinkle_chords(rng: random.Random, g: Graph, count: int) -> Graph:
     return Graph(g.n, edges)
 
 
+def subdivided_tree(rng: random.Random, branch: int) -> Tree:
+    """A random max-degree-3 tree on ``branch`` vertices, every edge
+    subdivided; subdivision vertices are numbered after the branch
+    vertices, in edge order."""
+    base = random_bounded_tree(rng, branch, maxdeg=3)
+    edges = []
+    for i, (u, v) in enumerate(base.edges()):
+        mid = branch + i
+        edges += [(u, mid), (v, mid)]
+    return Tree(2 * branch - 1, edges)
+
+
+def builder_matching(g: Graph):
+    """The centre matching of a host meeting the general builder's
+    precondition, or None.
+
+    The host must be S(K_{1,4})-free, not 2-connected beyond oracle
+    reach (n > 8), and have a saturating one-end-per-centre matching.
+    """
+    if not is_spider_free(g, 4):
+        return None
+    if g.n > 8 and is_two_connected(g):
+        return None
+    return theorem1_matching(g, centres(g, 3))
+
+
 def matched_spider_free_instances(seed: int, count: int, max_n: int = 40):
     """Yield (graph, matching) pairs meeting the builder's precondition.
 
@@ -117,13 +154,30 @@ def matched_spider_free_instances(seed: int, count: int, max_n: int = 40):
             g = random_caterpillar(rng, n)
         else:
             g = sprinkle_chords(rng, random_bounded_tree(rng, n), rng.randint(1, 3))
-        if not is_spider_free(g, 4):
-            continue
-        if g.n > 8 and is_two_connected(g):
-            continue
-        x = centres(g, 3)
-        matching = theorem1_matching(g, x)
+        matching = builder_matching(g)
         if matching is None:
             continue
         produced += 1
         yield g, matching
+
+
+def chorded_host_corpus(seed: int):
+    """Yield (graph, matching) pairs: three chorded subdivided trees and
+    three chorded caterpillars of about each size 50, 100, 200 and 400,
+    with one chord per 50 vertices at most, as in the benchmark's host
+    families."""
+    rng = random.Random(seed)
+    for size in (50, 100, 200, 400):
+        for family in ("subdivided", "caterpillar"):
+            produced = 0
+            while produced < 3:
+                if family == "subdivided":
+                    base = subdivided_tree(rng, size // 2 + 1)
+                else:
+                    base = random_caterpillar(rng, size)
+                g = sprinkle_chords(rng, base, rng.randint(1, max(1, base.n // 50)))
+                matching = builder_matching(g)
+                if matching is None:
+                    continue
+                produced += 1
+                yield g, matching

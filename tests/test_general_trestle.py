@@ -1,6 +1,18 @@
-import pytest
+import hashlib
+import json
+import sys
 
-from helpers import matched_spider_free_instances
+import pytest
+from hypothesis import given, strategies as st
+
+from helpers import (
+    builder_matching,
+    chorded_host_corpus,
+    matched_spider_free_instances,
+    path_ordered_comb,
+    prufer_trees,
+    sprinkle_chords,
+)
 
 from trestles.general_trestle import build_general_trestle, path_square_cycle
 from trestles.graphs import (
@@ -13,6 +25,7 @@ from trestles.graphs import (
 )
 from trestles.matching_flow import theorem1_matching
 from trestles.patterns import centres, is_spider_free
+from trestles.verify import TrestleCertificate, verify_trestle
 
 
 def test_path_square_cycle_p5():
@@ -98,3 +111,64 @@ def test_random_instances_verified():
             assert 2 <= degs[v] <= 3
             if v not in matched:
                 assert degs[v] == 2
+
+
+# SHA-256 of the certificates that the recursive builder, which analysed
+# every branch from scratch, produced for these corpora; the per-level
+# derivation must reproduce them byte for byte
+SMALL_CORPUS_DIGEST = "f1a729f7628309022a9792ee5e5a915eb1c1e267a60fdd4d65e06d24551deb2e"
+CHORDED_CORPUS_DIGEST = "9e60b5ee1e0f6b41e7c7ebfa7af7b7d8dbca09b690b67b6a70c9e974b3897481"
+COMB_300_DIGEST = "e87c2293b65bfc7672f18a08f0d6c1b7af8d619560f86571208154d8fd0104f7"
+
+
+def _digest(certs) -> str:
+    h = hashlib.sha256()
+    for cert in certs:
+        h.update(json.dumps(cert.to_jsonable(), sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_certificates_match_golden_digest():
+    small = matched_spider_free_instances(seed=7, count=80, max_n=40)
+    assert _digest(build_general_trestle(g, m.edge_list) for g, m in small) == SMALL_CORPUS_DIGEST
+    chorded = list(chorded_host_corpus(seed=11))
+    assert max(g.n for g, _ in chorded) >= 400
+    assert _digest(build_general_trestle(g, m.edge_list) for g, m in chorded) == CHORDED_CORPUS_DIGEST
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_deep_comb_builds_under_a_low_recursion_limit():
+    # the path-ordered comb splits off one spine vertex per level, so a
+    # recursive builder would nest about 300 levels deep
+    comb = path_ordered_comb(300)
+    matching = builder_matching(comb)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        cert = build_general_trestle(comb, matching.edge_list)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _digest([cert]) == COMB_300_DIGEST
+
+
+@given(prufer_trees(), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_chorded_prufer_hosts_build_with_exact_degrees(t, chords, rng):
+    g = sprinkle_chords(rng, t, chords)
+    matching = builder_matching(g)
+    if matching is None:
+        return
+    cert = build_general_trestle(g, matching.edge_list)
+    matched = matching.covered()
+    degs = cert.degrees()
+    expected = [degs[v] if v in matched else 2 for v in range(g.n)]
+    report = verify_trestle(
+        TrestleCertificate.of(g, cert.edge_list, 3, cert.matching_edges, expected)
+    )
+    assert report.passed(), report.failed_checks()

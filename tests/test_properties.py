@@ -6,17 +6,13 @@ Trees are drawn uniformly by Prüfer sequence; the hypothesis profile in
 
 from hypothesis import given, strategies as st
 
-from helpers import prufer_tree
+from helpers import prufer_trees
 from trestles.obstruction import check_obstruction
 from trestles.patterns import is_caterpillar, tree_profile
 from trestles.tree_trestle import build_tree_trestle, decide_tree_trestle
 from trestles.verify import TrestleCertificate, verify_trestle
 
-trees = (
-    st.integers(min_value=3, max_value=40)
-    .flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
-    .map(prufer_tree)
-)
+trees = prufer_trees()
 
 
 @given(trees)

@@ -1,4 +1,4 @@
-from trestles.graphs import path_graph, spider
+from trestles.graphs import Graph, path_graph, spider
 from trestles.verify import TrestleCertificate, verify_trestle
 
 
@@ -84,3 +84,20 @@ def test_report_serialization():
     cert = TrestleCertificate.of(p, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)], 2)
     rows = verify_trestle(cert).to_jsonable()
     assert all(set(r) == {"check", "pass", "detail"} for r in rows)
+
+
+def test_edge_at_distance_three_fails():
+    p = path_graph(4)
+    report = verify_trestle(TrestleCertificate.of(p, [(0, 1), (1, 2), (2, 3), (0, 3)], 2))
+    assert report.failed_checks() == ["edges_in_square"]
+    detail = [c for c in report.checks if c.check == "edges_in_square"][0].detail
+    assert detail == "offending edges: [(0, 3)]"
+
+
+def test_large_star_certificate_verifies():
+    # the square of a star is complete: any Hamilton cycle is a
+    # 2-trestle, checked without listing the square's 2 * 10^8 edges
+    leaves = 20000
+    star = Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+    report = verify_trestle(TrestleCertificate.of(star, _cycle(leaves + 1), 2))
+    assert report.passed(), report.failed_checks()
