@@ -106,7 +106,8 @@ def _cmd_build(args) -> int:
             return 1
         cert = build_general_trestle(g, matching.edge_list)
     _emit({"feasible": True, "certificate": cert.to_jsonable()})
-    _write_dot(args.dot, square(g))
+    if args.dot:
+        _write_dot(args.dot, square(g))
     return 0
 
 

@@ -23,7 +23,6 @@ class Matching:
 
     host: Graph
     edge_list: tuple[tuple[int, int], ...]
-    role: str = "matching"
 
     def __post_init__(self):
         used = set()

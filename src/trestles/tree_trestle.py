@@ -1,17 +1,31 @@
 """Decide and build bounded-degree 2-connected spanning subgraphs of tree squares.
 
 The decision procedure is the leaf-to-root arc-assignment pass of
-``matching_flow.feasible_assignment``; the builder turns a feasible
+``matching_flow.feasible_assignment``.  The builder turns a feasible
 assignment into a certificate whose vertex degrees are exactly
-o(v) + max{2, n(v)}, by recursing on the branch trees hanging off a
-pivot vertex with at least three non-leaf neighbours and gluing the
-sub-certificates together with a degree-prescribed tree on the pivot's
-neighbourhood.
+o(v) + max{2, n(v)}, in one pass over the tree with no recursion.  Call
+x a pivot when n(x) >= 3.  The certificate is the union of two parts:
+
+* a hub tree for every pivot x: ``realize_degree_tree`` on N(x), with
+  the non-leaves before the leaves, each in id order, and the degree
+  a(u, x) + 1 for a non-leaf u, a(u, x) + 2 for a leaf u;
+* a piece cycle for every component of the tree minus the pivots and
+  their leaves.  The component, together with a copy of each adjacent
+  pivot carrying a dummy leaf, is a caterpillar; the piece cycle is the
+  Harary–Schwenk Hamilton cycle of its square minus the two edges at
+  each dummy.
+
+Two adjacent pivots would give the piece dummy-pivot-pivot-dummy, whose
+cycle has no edge without a dummy, so such pieces are skipped.  Arcs
+into a non-pivot carry 0, so a pivot gets one edge from each piece it
+borders and a(p, x) + 1 from the hub tree of each adjacent pivot x,
+which adds up to the degree law.  The Harary–Schwenk cycle of a path is
+``path_square_cycle``'s cycle.
 """
 
 from __future__ import annotations
 
-from .graphs import DomainError, InternalInvariantError, Tree, components
+from .graphs import DomainError, InternalInvariantError, Tree
 from .matching_flow import ArcAssignment, feasible_assignment
 from .patterns import tree_profile
 from .verify import TrestleCertificate, verify_trestle
@@ -57,87 +71,96 @@ def realize_degree_tree(degrees: list[int]) -> Tree:
     return Tree(m, edges)
 
 
-def _restricted_assignment(
-    t: Tree, a: ArcAssignment, comp: list[int], pivot: int, gateway: int
-) -> tuple[Tree, ArcAssignment, dict[int, int], int, int]:
-    """Branch tree for one non-leaf neighbour of the pivot.
+def _piece_cycle(spine: list[int], hairs: list[list[int]], n: int) -> list[tuple[int, int]]:
+    """Harary–Schwenk cycle of a caterpillar square, minus dummy edges.
 
-    Returns (branch tree, restricted assignment, old->new map, local
-    pivot id, local dummy id).  The dummy leaf keeps the pivot a
-    non-leaf inside the branch, exactly mirroring its role in the whole
-    tree.
+    ``spine`` runs over the non-leaf vertices in path order and
+    ``hairs[i]`` holds the leaves of ``spine[i]`` in id order; ids >= n
+    are dummies.  The cycle runs from the lowest-id leaf at a spine end,
+    s_0, along the spine s_0 ... s_m to a leaf s_m at the other end,
+    visiting the even s_i and the hairs of the odd s_i, and comes back
+    over the odd s_i and the hairs of the even s_i; consecutive vertices
+    are at distance at most 2.
     """
-    old = sorted(comp) + [pivot]
-    old.sort()
-    index = {v: i for i, v in enumerate(old)}
-    dummy = len(old)
-    edges = [
-        (index[u], index[v])
-        for u, v in t.edges()
-        if u in index and v in index
+    if len(spine) == 1:
+        first, last = hairs[0][0], hairs[0][1]
+    else:
+        first, last = hairs[0][0], hairs[-1][0]
+        if last < first:
+            spine, hairs = spine[::-1], hairs[::-1]
+            first, last = last, first
+    hairs = [list(h) for h in hairs]
+    hairs[0].remove(first)
+    hairs[-1].remove(last)
+    forward = [first]
+    back: list[int] = []
+    for i, (s, hs) in enumerate(zip(spine, hairs), start=1):
+        if i % 2:
+            forward.extend(hs)
+            back.append(s)
+        else:
+            forward.append(s)
+            back.extend(hs)
+    (forward if len(spine) % 2 else back).append(last)
+    cycle = forward + back[::-1]
+    return [
+        (u, v) if u < v else (v, u)
+        for u, v in zip(cycle, cycle[1:] + cycle[:1])
+        if u < n and v < n
     ]
-    edges.append((index[pivot], dummy))
-    branch = Tree(len(old) + 1, edges)
-    restricted = ArcAssignment(branch)
-    comp_set = set(comp)
-    for (u, v), value in a.values.items():
-        if u in comp_set and v in comp_set:
-            restricted.set_value(index[u], index[v], value)
-    # the pivot keeps its outgoing value towards the gateway; everything
-    # else touching pivot or dummy is zero
-    out_value = a.value(pivot, gateway)
-    if out_value:
-        restricted.set_value(index[pivot], index[gateway], out_value)
-    return branch, restricted, index, index[pivot], dummy
 
 
-def _build_edges(t: Tree, k: int, a: ArcAssignment) -> set[tuple[int, int]]:
-    profile = tree_profile(t)
-    pivots = [v for v in range(t.n) if profile.n(v) >= 3]
-    if not pivots:
-        # caterpillar case: all in-demands are zero, so the assignment is
-        # identically zero and the result is a Hamilton cycle
-        if a.values:
-            raise InternalInvariantError("non-zero assignment on a caterpillar")
-        from .general_trestle import build_general_trestle
-
-        cert = build_general_trestle(t, ())
-        return set(cert.edge_list)
-
-    x = pivots[0]
-    nbrs = list(t.adj[x])
-    non_leaves = [u for u in nbrs if t.degree(u) >= 2]
-    leaves = [u for u in nbrs if t.degree(u) == 1]
-    ordered = non_leaves + leaves
-
-    comps = components(t, removed={x})
-    comp_of = {}
-    for comp in comps:
-        for v in comp:
-            comp_of[v] = comp
-
+def _build_edges(t: Tree, a: ArcAssignment, is_pivot: list[bool]) -> set[tuple[int, int]]:
+    """Hub trees of the pivots plus the cycles of the pivot-free pieces."""
+    n, adj, values = t.n, t.adj, a.values
+    is_leaf = [len(nbrs) == 1 for nbrs in adj]
     result: set[tuple[int, int]] = set()
-    for u in non_leaves:
-        branch, restricted, index, _, dummy = _restricted_assignment(
-            t, a, comp_of[u], x, u
-        )
-        if not restricted.satisfies_demands(k):
-            raise InternalInvariantError("restricted assignment broke the demand system")
-        sub_edges = _build_edges(branch, k, restricted)
-        back = {i: v for v, i in index.items()}
-        for p, q in sub_edges:
-            if p == dummy or q == dummy:
-                continue
-            gp, gq = back[p], back[q]
-            result.add((min(gp, gq), max(gp, gq)))
 
-    degrees = [
-        a.value(u, x) + (1 if t.degree(u) >= 2 else 2) for u in ordered
+    for x in range(n):
+        if not is_pivot[x]:
+            continue
+        ordered = [u for u in adj[x] if not is_leaf[u]] + [u for u in adj[x] if is_leaf[u]]
+        hub_tree = realize_degree_tree(
+            [values.get((u, x), 0) + (2 if is_leaf[u] else 1) for u in ordered]
+        )
+        for p, q in hub_tree.edges():
+            gp, gq = ordered[p], ordered[q]
+            result.add((gp, gq) if gp < gq else (gq, gp))
+
+    # each piece's spine is a pivot copy, a path of non-pivot non-leaves,
+    # and another pivot copy, either copy possibly missing; the walk
+    # starts the path at an end, a vertex with at most one inner neighbour
+    inner = [
+        [] if is_leaf[v] or is_pivot[v]
+        else [w for w in adj[v] if not is_leaf[w] and not is_pivot[w]]
+        for v in range(n)
     ]
-    hub_tree = realize_degree_tree(degrees)
-    for p, q in hub_tree.edges():
-        gp, gq = ordered[p], ordered[q]
-        result.add((min(gp, gq), max(gp, gq)))
+    seen = [False] * n
+    for v in range(n):
+        if seen[v] or is_leaf[v] or is_pivot[v] or len(inner[v]) > 1:
+            continue
+        path = [v]
+        seen[v] = True
+        prev = -1
+        while True:
+            nxt = [w for w in inner[path[-1]] if w != prev]
+            if not nxt:
+                break
+            prev = path[-1]
+            path.append(nxt[0])
+            seen[nxt[0]] = True
+        head = [w for w in adj[path[0]] if is_pivot[w]]
+        if len(path) == 1:
+            head, tail = head[:1], head[1:]
+        else:
+            tail = [w for w in adj[path[-1]] if is_pivot[w]]
+        spine = head + path + tail
+        hairs = (
+            [[n + p] for p in head]
+            + [[w for w in adj[u] if is_leaf[w]] for u in path]
+            + [[n + p] for p in tail]
+        )
+        result.update(_piece_cycle(spine, hairs, n))
     return result
 
 
@@ -153,7 +176,7 @@ def build_tree_trestle(t: Tree, k: int, a: ArcAssignment) -> TrestleCertificate:
     expected = [
         a.out_sum(v) + max(2, profile.n(v)) for v in range(t.n)
     ]
-    edges = _build_edges(t, k, a)
+    edges = _build_edges(t, a, [profile.n(v) >= 3 for v in range(t.n)])
     cert = TrestleCertificate.of(t, edges, k, expected_degrees=expected)
     report = verify_trestle(cert)
     if not report.passed():

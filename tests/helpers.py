@@ -4,6 +4,7 @@ import bisect
 import functools
 import heapq
 import random
+import sys
 
 from trestles.graphs import Graph, Tree, is_two_connected
 from trestles.matching_flow import theorem1_matching
@@ -16,6 +17,24 @@ def base_patterns():
     from trestles.obstruction import derive_base_patterns
 
     return derive_base_patterns(max_n=16)
+
+
+@functools.lru_cache(maxsize=1)
+def two_connected_graphs() -> tuple[Graph, ...]:
+    """All 2-connected graphs with 3 <= n <= 8 up to isomorphism,
+    enumerated once per test run."""
+    from trestles.oracle import enumerate_two_connected
+
+    return tuple(enumerate_two_connected(8))
+
+
+def frame_depth() -> int:
+    """The number of frames on the stack, this call's own included."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
 
 
 def random_bounded_tree(rng: random.Random, n: int, maxdeg: int = 4) -> Tree:

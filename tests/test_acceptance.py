@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from helpers import base_patterns, matched_spider_free_instances
+from helpers import base_patterns, matched_spider_free_instances, two_connected_graphs
 
 from trestles.general_trestle import build_general_trestle
 from trestles.graphs import Digraph, Graph, spider, square
@@ -20,7 +20,6 @@ from trestles.oracle import (
     SearchBudget,
     brute_force_trestle,
     enumerate_trees,
-    enumerate_two_connected,
     fleischner_hamilton,
     independence_number,
 )
@@ -329,7 +328,7 @@ def test_criterion_9_fleischner(capsys):
     checked = 0
     failures = []
     started = time.time()
-    for g in enumerate_two_connected(8):
+    for g in two_connected_graphs():
         try:
             cycle = fleischner_hamilton(g)
         except Exception as exc:

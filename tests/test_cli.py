@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from trestles import general_trestle, oracle
+from trestles import cli, general_trestle, oracle
 from trestles.cli import main
 from trestles.graphs import cycle_graph, path_graph, spider, write_edgelist, write_graph6
 
@@ -100,6 +100,19 @@ def test_dot_output(capsys, tmp_path, sk14):
     text = dot.read_text()
     assert text.startswith("graph")
     assert "0" in text
+
+
+def test_build_squares_the_host_only_for_dot(capsys, monkeypatch, tmp_path, p5):
+    code, with_dot = run(capsys, "build", p5, "--k", "2", "--dot", str(tmp_path / "sq.dot"))
+    assert code == 0
+    assert "  0 -- 2;" in (tmp_path / "sq.dot").read_text()
+
+    def forbidden(g):
+        raise AssertionError("squared the host without --dot")
+
+    monkeypatch.setattr(cli, "square", forbidden)
+    code, without_dot = run(capsys, "build", p5, "--k", "2")
+    assert code == 0 and without_dot == with_dot
 
 
 def test_usage_error_on_missing_file(capsys):

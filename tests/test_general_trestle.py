@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from helpers import (
     builder_matching,
     chorded_host_corpus,
+    frame_depth,
     matched_spider_free_instances,
     path_ordered_comb,
     prufer_trees,
@@ -136,21 +137,13 @@ def test_certificates_match_golden_digest():
     assert _digest(build_general_trestle(g, m.edge_list) for g, m in chorded) == CHORDED_CORPUS_DIGEST
 
 
-def _frame_depth() -> int:
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return depth
-
-
 def test_deep_comb_builds_under_a_low_recursion_limit():
     # the path-ordered comb splits off one spine vertex per level, so a
     # recursive builder would nest about 300 levels deep
     comb = path_ordered_comb(300)
     matching = builder_matching(comb)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_frame_depth() + 100)
+    sys.setrecursionlimit(frame_depth() + 100)
     try:
         cert = build_general_trestle(comb, matching.edge_list)
     finally:

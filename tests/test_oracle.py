@@ -1,5 +1,7 @@
 import pytest
 
+from helpers import two_connected_graphs
+
 from trestles.graphs import (
     DomainError,
     Graph,
@@ -18,7 +20,6 @@ from trestles.oracle import (
     brute_force_trestle,
     brute_force_trestle_by_degrees,
     enumerate_trees,
-    enumerate_two_connected,
     fleischner_hamilton,
     hamilton_cycle,
     independence_number,
@@ -113,6 +114,6 @@ def test_tree_canonical_form_identifies_isomorphs():
 def test_two_connected_counts():
     expected = {3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123}
     counts: dict[int, int] = {}
-    for g in enumerate_two_connected(8):
+    for g in two_connected_graphs():
         counts[g.n] = counts.get(g.n, 0) + 1
     assert counts == expected

@@ -1,17 +1,20 @@
-"""Deep inputs: the tree decision and Kuhn's search must not recurse.
+"""Deep inputs: the tree decision, the tree builder and Kuhn's search
+must not recurse.
 
-The decisions below run on 10^5-vertex trees; the matching instance
-needs an augmenting path longer than the interpreter's recursion limit.
+The decisions and builds below run on trees with up to 10^5 vertices;
+the matching instance needs an augmenting path longer than the
+interpreter's recursion limit.
 """
 
 import random
 import sys
 
-from helpers import path_ordered_comb, random_bounded_tree
+from helpers import frame_depth, path_ordered_comb, random_bounded_tree, random_caterpillar
 from trestles.graphs import Tree
 from trestles.matching_flow import max_bipartite_matching
 from trestles.patterns import tree_profile
-from trestles.tree_trestle import decide_tree_trestle
+from trestles.tree_trestle import build_tree_trestle, decide_tree_trestle
+from trestles.verify import TrestleCertificate, verify_trestle
 
 N = 100_000
 
@@ -47,6 +50,54 @@ def test_large_star_decides_in_linear_time():
     t = Tree(N, [(0, v) for v in range(1, N)])
     a = decide_tree_trestle(t, 2)
     assert a is not None and a.satisfies_demands(2)
+
+
+def _builds_with_exact_degrees(t: Tree, k: int) -> None:
+    """Decide and build with the stack capped about 100 frames above
+    the caller, then verify the degree law o(v) + max{2, n(v)}."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 100)
+    try:
+        a = decide_tree_trestle(t, k)
+        assert a is not None
+        cert = build_tree_trestle(t, k, a)
+    finally:
+        sys.setrecursionlimit(limit)
+    profile = tree_profile(t)
+    expected = [a.out_sum(v) + max(2, profile.n(v)) for v in range(t.n)]
+    report = verify_trestle(TrestleCertificate.of(t, cert.edge_list, k, expected_degrees=expected))
+    assert report.passed(), report.failed_checks()
+
+
+def _spider(legs: int, length: int) -> Tree:
+    """Centre 0 with ``legs`` paths of ``length`` vertices each."""
+    edges = []
+    for leg in range(legs):
+        prev = 0
+        for i in range(length):
+            v = 1 + leg * length + i
+            edges.append((prev, v))
+            prev = v
+    return Tree(1 + legs * length, edges)
+
+
+def test_spine_1000_comb_builds_at_k3():
+    # every inner spine vertex is a pivot next to the previous one
+    _builds_with_exact_degrees(path_ordered_comb(1000), 3)
+
+
+def test_long_three_legged_spider_builds_at_k3():
+    _builds_with_exact_degrees(_spider(3, 30_000), 3)
+
+
+def test_hairy_caterpillar_builds_at_k2():
+    t = random_caterpillar(random.Random(2), N)
+    assert sum(1 for v in range(t.n) if t.degree(v) == 1) > N // 4
+    _builds_with_exact_degrees(t, 2)
+
+
+def test_random_bounded_tree_builds_at_k4():
+    _builds_with_exact_degrees(random_bounded_tree(random.Random(1), N, maxdeg=3), 4)
 
 
 def _kuhn_recursive(left, adjacency):

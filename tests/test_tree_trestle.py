@@ -1,5 +1,12 @@
+import hashlib
+import json
+import random
+
 import pytest
 
+from helpers import random_bounded_tree, random_caterpillar
+from trestles import general_trestle, tree_trestle
+from trestles.general_trestle import path_square_cycle
 from trestles.graphs import DomainError, Tree, path_graph, spider
 from trestles.matching_flow import ArcAssignment, assignment_from_trestle
 from trestles.oracle import enumerate_trees
@@ -97,3 +104,70 @@ def test_certificates_verify_independently():
     assert a is not None
     cert = build_tree_trestle(t, 3, a)
     assert verify_trestle(cert).passed()
+
+
+# SHA-256 of the one-pass builder's certificates: every free tree with
+# n <= 10 at k = 2, 3, 4, and a seeded corpus of random bounded-degree
+# trees with n = 11..200 at k = 3, 4, 5
+FREE_TREE_DIGEST = "df3479471963cbe46010e0d1f5c448b84a45fd61c5e33a20f61294f909133657"
+RANDOM_TREE_DIGEST = "23bf6dbdfb5ca80bfae631f22c88365e6289f864602f72197357e88c23832f27"
+
+
+def _digest(pairs) -> str:
+    h = hashlib.sha256()
+    for t, k in pairs:
+        a = decide_tree_trestle(t, k)
+        if a is None:
+            h.update(b"infeasible\n")
+            continue
+        cert = build_tree_trestle(t, k, a)
+        h.update(json.dumps(cert.to_jsonable(), sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _random_trees():
+    rng = random.Random(2020)
+    for _ in range(60):
+        yield random_bounded_tree(rng, rng.randint(11, 200), maxdeg=rng.choice((3, 4, 5)))
+
+
+def test_certificates_match_golden_digest():
+    free = [(t, k) for n in range(3, 11) for t in enumerate_trees(n) for k in (2, 3, 4)]
+    assert _digest(free) == FREE_TREE_DIGEST
+    corpus = [(t, k) for t in _random_trees() for k in (3, 4, 5)]
+    assert _digest(corpus) == RANDOM_TREE_DIGEST
+
+
+def test_path_certificate_is_the_path_square_cycle():
+    rng = random.Random(9)
+    for n in range(3, 40):
+        for _ in range(5):
+            order = list(range(n))
+            rng.shuffle(order)
+            t = Tree(n, list(zip(order, order[1:])))
+            cert = build_tree_trestle(t, 2, decide_tree_trestle(t, 2))
+            assert list(cert.edge_list) == path_square_cycle(t)
+
+
+def test_one_verification_and_no_general_build(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the tree builder called the general builder")
+
+    calls = []
+
+    def counting_verify(cert):
+        calls.append(cert)
+        return verify_trestle(cert)
+
+    monkeypatch.setattr(general_trestle, "build_general_trestle", forbidden)
+    monkeypatch.setattr(tree_trestle, "verify_trestle", counting_verify)
+    rng = random.Random(4)
+    trees = [
+        (random_caterpillar(rng, 30), 2),
+        (spider(3), 3),
+        (random_bounded_tree(rng, 60, maxdeg=3), 4),
+    ]
+    for t, k in trees:
+        calls.clear()
+        cert = build_tree_trestle(t, k, decide_tree_trestle(t, k))
+        assert calls == [cert]
