@@ -34,7 +34,6 @@ limit.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
 
 from .graphs import (
     DomainError,
@@ -97,14 +96,26 @@ def _path_square_cycle(p: Graph) -> list[tuple[int, int]]:
 
 
 def _bounded_alpha(g: Graph, cap: int = 4) -> int:
-    """min(independence number, cap); enough to check the alpha <= 3 bound."""
-    best = 1 if g.n else 0
-    for size in range(min(cap, g.n), 1, -1):
-        for combo in combinations(range(g.n), size):
-            if all(
-                not g.has_edge(u, v) for u, v in combinations(combo, 2)
-            ):
-                return size
+    """min(independence number, cap); enough to check the alpha <= 3 bound.
+
+    Depth-first over independent sets in increasing id order: a set is
+    extended only by later vertices adjacent to none of its members,
+    and the search stops at the first set of size ``cap``.
+    """
+    masks = g.adjacency_masks()
+    best = 0
+    # (size of an independent set, bitmask of the vertices that extend it)
+    stack = [(0, (1 << g.n) - 1)]
+    while stack:
+        size, extend = stack.pop()
+        if size > best:
+            best = size
+            if best >= cap:
+                return cap
+        while extend:
+            low = extend & -extend
+            extend ^= low
+            stack.append((size + 1, extend & ~masks[low.bit_length() - 1]))
     return best
 
 

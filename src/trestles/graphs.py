@@ -223,13 +223,6 @@ def is_path_graph(g: Graph) -> bool:
     )
 
 
-def path_endpoints(g: Graph) -> tuple[int, int]:
-    if not is_path_graph(g) or g.n < 2:
-        raise DomainError("not a non-trivial path")
-    a, b = [v for v in range(g.n) if g.degree(v) == 1]
-    return a, b
-
-
 # ---------------------------------------------------------------------------
 # Serialization: graph6, edge list, DOT.
 # ---------------------------------------------------------------------------

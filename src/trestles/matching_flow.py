@@ -4,6 +4,10 @@ Three decision engines live here:
 
 * the one-end-in-X matching used by the general 3-trestle condition,
 * inclusion-minimal Hall violators in the red-black bipartite subgraph,
+  read off one maximum matching of it: the red vertices that
+  alternating paths reach from an unmatched one; every deficient
+  subset of them holds that vertex and is closed under taking mates,
+  so it is the whole set,
 * the leaf-to-root feasibility pass for arc assignments on trees (the
   i(v)/o(v) demand system) together with assignment extraction from a
   known trestle.
@@ -56,11 +60,6 @@ class ArcAssignment:
     tree: Tree
     values: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def value(self, u: int, v: int) -> int:
-        if not self.tree.has_edge(u, v):
-            raise DomainError(f"({u},{v}) is not a tree edge")
-        return self.values.get((u, v), 0)
-
     def set_value(self, u: int, v: int, a: int) -> None:
         if not self.tree.has_edge(u, v):
             raise DomainError(f"({u},{v}) is not a tree edge")
@@ -71,8 +70,8 @@ class ArcAssignment:
         else:
             self.values.pop((u, v), None)
 
-    # u runs over tree neighbours, so the edge check of value() is not
-    # repeated; it would scan adj[v] again and make a star quadratic
+    # u runs over tree neighbours, so no per-arc edge check is needed;
+    # one would scan adj[v] again and make a star quadratic
     def in_sum(self, v: int) -> int:
         return sum(self.values.get((u, v), 0) for u in self.tree.adj[v])
 
@@ -148,6 +147,24 @@ def max_bipartite_matching(left: list[int], adjacency: dict[int, list[int]]) -> 
     return {x: y for y, x in match_of.items()}
 
 
+def _one_end_matching(
+    g: Graph, side: set[int], what: str
+) -> tuple[list[int], dict[int, list[int]], dict[int, int]]:
+    """The host edges with exactly one end in ``side`` and one maximum
+    matching of them.
+
+    Returns the side in id order, the adjacency from each side vertex to
+    its (sorted) neighbours off the side, and the matching as a
+    side -> off-side assignment.
+    """
+    for v in side:
+        if not 0 <= v < g.n:
+            raise DomainError(f"{what} {v} out of range")
+    left = sorted(side)
+    adjacency = {x: [y for y in g.adj[x] if y not in side] for x in left}
+    return left, adjacency, max_bipartite_matching(left, adjacency)
+
+
 def theorem1_matching(g: Graph, centre_set: set[int]) -> Matching | None:
     """A matching of size |X| whose edges have exactly one end in X.
 
@@ -155,85 +172,50 @@ def theorem1_matching(g: Graph, centre_set: set[int]) -> Matching | None:
     exactly one end in X.  Returns None iff no saturating matching
     exists.
     """
-    for v in centre_set:
-        if not 0 <= v < g.n:
-            raise DomainError(f"centre {v} out of range")
-    left = sorted(centre_set)
-    adjacency = {
-        x: [y for y in g.adj[x] if y not in centre_set] for x in left
-    }
-    assignment = max_bipartite_matching(left, adjacency)
+    left, _, assignment = _one_end_matching(g, centre_set, "centre")
     if len(assignment) < len(left):
         return None
     edges = tuple(sorted((min(x, y), max(x, y)) for x, y in assignment.items()))
     return Matching(g, edges)
 
 
-def _red_black_adjacency(g: Graph, red: set[int]) -> dict[int, list[int]]:
-    return {r: [y for y in g.adj[r] if y not in red] for r in sorted(red)}
-
-
-def _saturates(adjacency: dict[int, list[int]], subset: list[int]) -> bool:
-    sub_adj = {x: adjacency[x] for x in subset}
-    return len(max_bipartite_matching(subset, sub_adj)) == len(subset)
-
-
-def _reachability_violator(adjacency: dict[int, list[int]], subset: list[int]) -> tuple[set[int], set[int]]:
-    """Deficient set via alternating reachability from an unmatched vertex."""
-    assignment = max_bipartite_matching(subset, {x: adjacency[x] for x in subset})
-    unmatched = [x for x in subset if x not in assignment]
-    if not unmatched:
-        raise InternalInvariantError("asked for a violator of a saturatable set")
-    partner = {y: x for x, y in assignment.items()}
-    start = unmatched[0]
-    reached_left = {start}
-    reached_right: set[int] = set()
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adjacency[x]:
-                if y in reached_right:
-                    continue
-                reached_right.add(y)
-                x2 = partner.get(y)
-                if x2 is not None and x2 not in reached_left:
-                    reached_left.add(x2)
-                    nxt.append(x2)
-        frontier = nxt
-    return reached_left, reached_right
-
-
 def minimal_hall_violator(g: Graph, red: set[int]) -> HallViolator | None:
     """Inclusion-minimal Hall violator of the red side, or None.
 
     The bipartite graph consists of the host edges with exactly one red
-    end.  Starting from the alternating-reachability violator of an
-    unmatched red vertex, the shrink loop descends into any co-singleton
-    that is still unsaturatable; on exit every proper subset is
-    saturatable, which certifies inclusion-minimality.
+    end.  Under one maximum matching M, the violator is the set R of
+    red vertices reachable by alternating paths from the lowest
+    unmatched red vertex x.  Every y in N(R) is matched (else M would
+    augment) and its mate lies in R, so |N(R)| = |R| - 1.
+
+    R is inclusion-minimal.  A deficient S inside R must contain x,
+    since M matches a set of matched vertices injectively into its
+    neighbourhood.  S must also hold the mate of every y in N(S), since
+    otherwise the mates of S - {x} plus y already give |N(S)| >= |S|.
+    A set that contains x and is closed under y -> mate(y) contains
+    everything alternating paths reach from x, so S = R.
     """
-    for v in red:
-        if not 0 <= v < g.n:
-            raise DomainError(f"red vertex {v} out of range")
-    adjacency = _red_black_adjacency(g, red)
-    subset = sorted(red)
-    if _saturates(adjacency, subset):
+    left, adjacency, assignment = _one_end_matching(g, red, "red vertex")
+    root = next((x for x in left if x not in assignment), None)
+    if root is None:
         return None
-    violator, _ = _reachability_violator(adjacency, subset)
-    while True:
-        shrunk = False
-        for r in sorted(violator):
-            rest = sorted(violator - {r})
-            if rest and not _saturates(adjacency, rest):
-                violator, _ = _reachability_violator(adjacency, rest)
-                shrunk = True
-                break
-        if not shrunk:
-            break
-    neighbourhood = {y for x in violator for y in adjacency[x]}
+    partner = {y: x for x, y in assignment.items()}
+    violator = {root}
+    neighbourhood: set[int] = set()
+    frontier = [root]
+    for x in frontier:
+        for y in adjacency[x]:
+            if y in neighbourhood:
+                continue
+            neighbourhood.add(y)
+            x2 = partner.get(y)
+            if x2 is not None and x2 not in violator:
+                violator.add(x2)
+                frontier.append(x2)
+    if {partner.get(y) for y in neighbourhood} != violator - {root}:
+        raise InternalInvariantError("the matching does not pair N(R) with R minus its root")
     if len(neighbourhood) >= len(violator):
-        raise InternalInvariantError("shrink loop produced a non-violator")
+        raise InternalInvariantError("alternating reachability produced a non-violator")
     return HallViolator(frozenset(violator), frozenset(neighbourhood))
 
 

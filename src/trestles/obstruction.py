@@ -179,7 +179,7 @@ def check_obstruction(t: Tree) -> ObstructionWitness | None:
 
 
 def _is_spider_free_tree(profile) -> bool:
-    return all(profile.n(v) <= 3 for v in range(len(profile.colours)))
+    return all(c <= 3 for c in profile.non_leaf_neighbours)
 
 
 def _infeasible(t: Tree) -> bool:

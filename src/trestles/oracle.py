@@ -10,7 +10,6 @@ running out of nodes yields "exhausted", never a silent "none".
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 from .graphs import (
@@ -30,7 +29,6 @@ EXHAUSTED = "exhausted"
 @dataclass(frozen=True)
 class SearchBudget:
     node_limit: int = 2_000_000
-    time_limit: float | None = None
 
     def tracker(self) -> "_BudgetTracker":
         return _BudgetTracker(self)
@@ -40,19 +38,11 @@ class _BudgetTracker:
     def __init__(self, budget: SearchBudget):
         self.nodes = 0
         self.limit = budget.node_limit
-        self.deadline = (
-            time.monotonic() + budget.time_limit if budget.time_limit else None
-        )
 
     def tick(self) -> bool:
         """Charge one search node; False when the budget is gone."""
         self.nodes += 1
-        if self.nodes > self.limit:
-            return False
-        if self.deadline is not None and self.nodes % 4096 == 0:
-            if time.monotonic() > self.deadline:
-                return False
-        return True
+        return self.nodes <= self.limit
 
 
 @dataclass(frozen=True)
@@ -62,7 +52,7 @@ class TrestleSearchResult:
 
 
 class SearchBudgetExhausted(DomainError):
-    """A search ran out of its node or time budget before a verdict."""
+    """A search ran out of its node budget before a verdict."""
 
 
 class _OutOfBudget(Exception):

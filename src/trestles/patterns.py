@@ -2,9 +2,9 @@
 
 A spider S(K_{1,k}) is a star with every edge subdivided once; its
 centre is the unique degree-k vertex.  The generic centre search is a
-small backtracking embedding search; trees additionally get the n(v)
-shortcut (a tree vertex is a centre of an induced S(K_{1,k}) exactly
-when it has at least k non-leaf neighbours).
+small backtracking embedding search.  In a tree it is not needed: a
+vertex is a centre of an induced S(K_{1,k}) exactly when it has at
+least k non-leaf neighbours, and ``tree_profile`` counts those.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import DomainError, Graph, Tree
-
-RED = "red"
-BLACK = "black"
 
 
 @dataclass(frozen=True)
@@ -48,16 +45,15 @@ class SpiderEmbedding:
 
 @dataclass(frozen=True)
 class TreeProfile:
-    """Per-vertex non-leaf-neighbour counts and the red/black colouring."""
+    """Per-vertex non-leaf-neighbour counts n(v); red means n(v) >= 3."""
 
     non_leaf_neighbours: tuple[int, ...]
-    colours: tuple[str, ...]
 
     def n(self, v: int) -> int:
         return self.non_leaf_neighbours[v]
 
     def red_set(self) -> set[int]:
-        return {v for v, c in enumerate(self.colours) if c == RED}
+        return {v for v, c in enumerate(self.non_leaf_neighbours) if c >= 3}
 
 
 def _spider_at(g: Graph, centre: int, k: int) -> SpiderEmbedding | None:
@@ -114,18 +110,7 @@ def tree_profile(t: Tree) -> TreeProfile:
     counts = tuple(
         sum(1 for w in t.adj[v] if not is_leaf[w]) for v in range(t.n)
     )
-    colours = tuple(RED if c >= 3 else BLACK for c in counts)
-    return TreeProfile(counts, colours)
-
-
-def tree_centres(t: Tree, k: int) -> set[int]:
-    """Fast path for trees: centres are exactly {v : n(v) >= k}."""
-    if k < 2:
-        raise DomainError("spider patterns need k >= 2")
-    profile = tree_profile(t) if t.n >= 2 else None
-    if profile is None:
-        return set()
-    return {v for v in range(t.n) if profile.n(v) >= k}
+    return TreeProfile(counts)
 
 
 def is_caterpillar(t: Tree) -> bool:

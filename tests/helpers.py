@@ -200,3 +200,43 @@ def chorded_host_corpus(seed: int):
                     continue
                 produced += 1
                 yield g, matching
+
+
+def random_red_graphs(seed: int, count: int, max_n: int = 10):
+    """Yield (graph, red set) pairs: ``count`` seeded random graphs on
+    1..max_n vertices, each edge present with one per-graph probability,
+    and each vertex red with probability one half."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        yield Graph(n, edges), {v for v in range(n) if rng.random() < 0.5}
+
+
+def f_family_chain(base, attachments: int):
+    """T_0 with ``attachments`` copies of the attachment pattern A
+    chained on, each one at the special vertex the previous one made.
+
+    Every step removes a pendant 5-vertex branch at the newest special
+    and identifies that vertex with v of A, as ``f_family`` does, so
+    the chain has attachments + 1 specials and
+    16 + attachments * (|A| - 6) vertices.
+    """
+    from trestles.obstruction import (
+        FFamilyMember,
+        _pendant_branches,
+        _remove_branch,
+        compose,
+    )
+
+    tree, specials = base.t0.tree, set(base.t0.special)
+    newest = min(specials)
+    for _ in range(attachments):
+        branch = next(_pendant_branches(tree, newest, 5, specials))
+        reduced, pivot = _remove_branch(tree, newest, branch)
+        kept = sorted(set(range(tree.n)) - set(branch))
+        index = {v: i for i, v in enumerate(kept)}
+        tree, ident, newest, _ = compose(reduced, pivot, base.attachment)
+        specials = {index[x] for x in specials} | {ident, newest}
+    return FFamilyMember(tree, tuple(sorted(specials)))

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import random
 import sys
 
 import pytest
@@ -15,10 +17,11 @@ from helpers import (
     sprinkle_chords,
 )
 
-from trestles.general_trestle import build_general_trestle, path_square_cycle
+from trestles.general_trestle import _bounded_alpha, build_general_trestle, path_square_cycle
 from trestles.graphs import (
     DomainError,
     Graph,
+    complete_graph,
     cycle_graph,
     path_graph,
     spider,
@@ -165,3 +168,31 @@ def test_chorded_prufer_hosts_build_with_exact_degrees(t, chords, rng):
         TrestleCertificate.of(g, cert.edge_list, 3, cert.matching_edges, expected)
     )
     assert report.passed(), report.failed_checks()
+
+
+def test_bounded_alpha_matches_brute_force():
+    rng = random.Random(17)
+    for _ in range(400):
+        n = rng.randint(0, 11)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        alpha = max(
+            size
+            for size in range(n + 1)
+            for combo in itertools.combinations(range(n), size)
+            if not any(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2))
+        )
+        assert _bounded_alpha(g) == min(alpha, 4)
+        assert _bounded_alpha(g, cap=2) == min(alpha, 2)
+
+
+def test_pendant_clique_builds_a_hamilton_cycle():
+    # K_100 with a pendant leaf on every vertex is S(K_{1,3})-free; its
+    # one split joins 99 branches over a contracted pair graph K_99, where
+    # trying every 4-subset for the alpha <= 3 check took seconds
+    m = 100
+    g = Graph(2 * m, list(complete_graph(m).edges()) + [(i, m + i) for i in range(m)])
+    assert builder_matching(g).size() == 0
+    cert = build_general_trestle(g, ())
+    assert all(d == 2 for d in cert.degrees())
+    assert len(cert.edge_list) == g.n

@@ -13,7 +13,6 @@ from trestles.graphs import (
     is_connected,
     is_path_graph,
     is_two_connected,
-    path_endpoints,
     path_graph,
     read_edgelist,
     read_graph6,
@@ -65,7 +64,6 @@ def test_path_recognition():
     assert is_path_graph(path_graph(7))
     assert not is_path_graph(cycle_graph(7))
     assert not is_path_graph(spider(3))
-    assert path_endpoints(path_graph(4)) == (0, 3)
 
 
 def test_components_with_removal():

@@ -1,6 +1,10 @@
+import hashlib
+import json
+import random
+
 import pytest
 
-from helpers import base_patterns
+from helpers import base_patterns, f_family_chain, random_bounded_tree
 
 from trestles.graphs import DomainError, Tree, path_graph, spider, square
 from trestles.obstruction import check_obstruction, compose, f_family
@@ -121,3 +125,39 @@ def test_compose_identifies_vertices():
 def test_small_tree_guard():
     with pytest.raises(DomainError):
         check_obstruction(Tree(2, [(0, 1)]))
+
+
+# SHA-256 of the witnesses that the earlier violator search, which
+# re-matched every co-singleton of the reachable set until none was
+# deficient, gave: every f_family(40) member, then the first 40
+# infeasible trees of a seeded random bounded-degree stream
+WITNESS_DIGEST = "a019e93bc7a70d30999c852b509fd177f3b66bfc160e8d5be8ee1cad5790d0af"
+
+
+def _infeasible_random_trees():
+    rng = random.Random(31)
+    found = 0
+    while found < 40:
+        t = random_bounded_tree(rng, rng.randint(16, 300), maxdeg=rng.choice((3, 4)))
+        if decide_tree_trestle(t, 3) is None:
+            found += 1
+            yield t
+
+
+def test_witnesses_match_golden_digest():
+    trees = [m.tree for m in f_family(40, base_patterns())]
+    trees += _infeasible_random_trees()
+    h = hashlib.sha256()
+    for t in trees:
+        h.update(json.dumps(check_obstruction(t).to_jsonable(), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == WITNESS_DIGEST
+
+
+def test_long_family_chain_gets_its_specials():
+    # 401 specials: a search that re-matched every co-singleton of the
+    # violator would take cubic time here
+    chain = f_family_chain(base_patterns(), 400)
+    assert chain.tree.n == 2816 and len(chain.special) == 401
+    w = check_obstruction(chain.tree)
+    assert w is not None and w.kind == "hall"
+    assert w.special == chain.special
