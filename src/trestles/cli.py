@@ -111,20 +111,34 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _vertex_pairs(payload: dict, key: str, n: int) -> list[tuple[int, int]]:
+    """``payload[key]`` as pairs of vertex ids of an n-vertex host."""
+    pairs = payload[key]
+    if not isinstance(pairs, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int and 0 <= v < n for v in e)
+        for e in pairs
+    ):
+        raise DomainError(f"certificate {key!r} must be a list of pairs of vertex ids below n={n}")
+    return [tuple(e) for e in pairs]
+
+
 def _cmd_verify(args) -> int:
     g = _read_input(args.input, args.format)
     with open(args.certificate, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if "certificate" in payload:
+    if isinstance(payload, dict) and "certificate" in payload:
         payload = payload["certificate"]
+    if not isinstance(payload, dict) or "edges" not in payload:
+        raise DomainError("certificate must be a JSON object with an 'edges' list")
+    k = payload.get("k", args.k)
+    if type(k) is not int:
+        raise DomainError("certificate 'k' must be an integer")
     cert = TrestleCertificate.of(
         g,
-        [tuple(e) for e in payload["edges"]],
-        payload.get("k", args.k),
+        _vertex_pairs(payload, "edges", g.n),
+        k,
         matching_edges=(
-            [tuple(e) for e in payload["matching"]]
-            if "matching" in payload
-            else None
+            _vertex_pairs(payload, "matching", g.n) if "matching" in payload else None
         ),
     )
     report = verify_trestle(cert)
@@ -267,7 +281,7 @@ def main(argv=None) -> int:
     except SearchBudgetExhausted:
         print("error: search budget exhausted", file=sys.stderr)
         return 4
-    except (DomainError, FormatError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (DomainError, FormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

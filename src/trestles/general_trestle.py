@@ -9,59 +9,124 @@ pendant dummy standing in for the rest of the graph, and reassemble the
 branch solutions through a theta graph spanned over the cutvertex's
 neighbourhood.
 
-Each level derives its branches from its own data instead of analysing
-every branch from scratch.  A branch's graph and matching are read off
-the level's adjacency lists and partner map.  Its centres are among the
-level's centres inside the branch, and only those are re-tested in the
-branch.  A spider that avoids the dummy leaf is induced in the level's
-graph.  One that uses the dummy has it as a leaf under the cutvertex c
-and the branch's gate (c's one neighbour in the branch) as its centre;
+Views.  Every level of the induction works in the input's vertex ids on
+one shared adjacency; no level copies or relabels the graph.  A level
+is the set of vertices that carry its mark in ``label``, and its graph
+is the subgraph of the shared adjacency induced on them, so the edges a
+split drops between branches simply stop being seen.  A branch at depth
+d gets the dummy id n + d, attached to the cutvertex c in the shared
+adjacency while the branch is open.  The dummies of one level come from
+distinct depths, so their ids never collide, and they sort after every
+host vertex and in order of depth.  Ascending ids are therefore the
+order that relabelling each branch in ascending order with its dummy
+last would give, so every ``min`` tie-break, every ascending scan and
+the sorted edge order of the spanning tree come out as on relabelled
+copies.  The centre flags and the partner map are shared as well: a
+branch changes them only at the vertices named below and undoes the
+changes when its solution comes back.  The solutions of all levels
+collect in one adjacency of result edges.  When a branch returns, the
+result edges at c and at its dummy are exactly the branch's own, since
+the earlier branches of the level have handed theirs over and the
+engagement edges wait in the level until its join; they give the
+branch's entry pair and are removed, and all other edges stay.
+
+Small to large.  The search for branches (below) stops once a single
+component is left unfinished.  When that component holds one gate, it
+is the largest branch and becomes a level without being listed: it
+keeps the level's mark and state (``_Level``), the rest of the level is
+unmarked while it is open, and only that rest is touched.  Every other
+branch is listed, gets a fresh mark and takes over the level's
+neighbour list of every vertex off the dropped edges, since those
+vertices keep all their neighbours.
+
+Branches.  With the star at c and the far matching edges forced, a
+spanning tree T of the level minus c has one component per neighbour of
+c (its gate).  Searches from all gates find the components of the
+level minus c, taking turns with budgets that double every round and
+merging where they meet.  A component that holds a single gate is a
+component of T minus c as it stands.  Inside one that holds several, a
+union-find builds T's components: every gate starts as a marked root,
+the forced edges and then the edges in sorted order merge roots, and
+two marked roots never merge, since in T that edge would close a cycle
+through c.  The edges refused that way are the dropped edges, between
+two branches or a branch and a lone gate.
+
+Centres.  A branch's centres are among the level's centres inside it.
+A spider that avoids the dummy leaf is induced in the level's graph.  One
+that uses the dummy has it as a leaf under c and the gate as its centre;
 but c is a cutvertex, so it has a neighbour in a component of the graph
-minus c that misses the branch, and through it the gate has a third
-arm in the level's graph as well.  One lowpoint DFS per level finds the
-cutvertices; every level's graph is connected, so finding none means
-2-connected.  Square adjacency is a distance-2 test on the level's
-graph; no square is built.
+minus c that misses the branch, and through it the gate has a third arm
+in the level's graph as well.  Conversely, a centre v of the level keeps
+its status in the branch when it is at distance at least 3 from c and
+at distance at least 2 from every endpoint of a dropped edge.  Then
+neither v nor a neighbour of v is adjacent to c or on a dropped edge,
+so every walk of length at most 2 from v stays inside the branch, in
+the level's graph and in the branch's alike.  So v's radius-2 ball, and
+every edge inside it, is the same in both graphs, and an induced spider
+centred at v lies inside that ball.  Inside the branch, c's only
+neighbour is the gate, and a vertex next to another neighbour of c is
+itself on a dropped edge; so only the gate, the branch's ends of
+dropped edges and the neighbours of these are re-tested.
+
+Cutvertices.  A branch that no dropped edge meets is a whole component
+of the level minus c.  The rest of the level meets it only at c and
+stays connected to c when a vertex v of the branch is removed, so v
+separates the level exactly when it separates the branch plus c.  The
+dummy, hanging at c, changes nothing for v and makes c a cutvertex: the
+branch's cutvertices are the level's inside it, plus c.  Only the other
+branches, and the input, run a lowpoint DFS.  A level picks its
+cutvertex from a heap ordered by degree, then id, dropping entries of
+vertices that left or changed degree as they surface.  Every level's
+graph is connected, so finding no cutvertex means 2-connected, and only
+the input can be, since every inner level has a pendant dummy.  Square
+adjacency is a distance-2 test on the level's graph; no square is
+built.
 
 The levels form a tree that is walked in post-order with an explicit
-stack: ``_split`` either solves a level outright or returns a ``_Cut``
-that hands out its branch subproblems one at a time, relabels each
-branch solution as it comes back, and finally joins them.  The depth
-of the decomposition is therefore not bounded by Python's recursion
-limit.
+stack: ``_Levels.split`` either solves a level outright or returns a
+``_Cut`` that hands out its branch subproblems one at a time, reads each
+branch's entry pair off the result edges as the branch comes back, and
+finally joins them.  The depth of the decomposition is therefore not
+bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
+from heapq import heapify, heappop
 
 from .graphs import (
     DomainError,
     Graph,
     InternalInvariantError,
-    components,
-    cutvertices,
+    articulation_points,
     is_connected,
     is_path_graph,
 )
 from .matching_flow import Matching
 from .oracle import fleischner_hamilton
 from .path_cover import linear_forest_for
-from .patterns import centre_witness, centres
+from .patterns import NeighbourSets, centre_witness, centres, spider_witness
 from .verify import TrestleCertificate, verify_trestle
+
+# when set, called as hook(adjacency, vertices, view, centres, cuts) on
+# every branch as it opens, with the shared adjacency, the branch's
+# graph, its centre set after the re-tests and its inherited cutvertices
+# (None when a DFS will find them); tests compare them with full searches
+_level_hook = None
 
 
 def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _cycle_edges(order: list[int]) -> set[tuple[int, int]]:
+def _cycle_edges(order) -> set[tuple[int, int]]:
     return {
         _norm(order[i], order[(i + 1) % len(order)]) for i in range(len(order))
     }
 
 
-def _within_two(g: Graph, u: int, v: int) -> bool:
+def _within_two(g, u: int, v: int) -> bool:
     """Whether uv is an edge of the square of ``g``."""
     nu = g.adj[u]
     return u != v and (v in nu or not set(nu).isdisjoint(g.adj[v]))
@@ -78,17 +143,18 @@ def path_square_cycle(p: Graph) -> list[tuple[int, int]]:
         raise DomainError("host is not a path")
     if p.n < 2:
         raise DomainError("not a non-trivial path")
-    return _path_square_cycle(p)
+    return _path_square_cycle(range(p.n), p.adj)
 
 
-def _path_square_cycle(p: Graph) -> list[tuple[int, int]]:
-    """``path_square_cycle`` for a graph known to be a path on n >= 2."""
-    start = next(v for v in range(p.n) if p.degree(v) == 1)
+def _path_square_cycle(vs, adj) -> list[tuple[int, int]]:
+    """``path_square_cycle`` for the ascending vertices ``vs`` of a path
+    on at least 2 vertices, with neighbour lists ``adj``."""
+    start = next(v for v in vs if len(adj[v]) == 1)
     order = [start]
     prev = -1
-    while len(order) < p.n:
+    while len(order) < len(vs):
         cur = order[-1]
-        nxt = [w for w in p.adj[cur] if w != prev]
+        nxt = [w for w in adj[cur] if w != prev]
         prev = cur
         order.append(nxt[0])
     seq = order[0::2] + order[1::2][::-1]
@@ -117,34 +183,6 @@ def _bounded_alpha(g: Graph, cap: int = 4) -> int:
             extend ^= low
             stack.append((size + 1, extend & ~masks[low.bit_length() - 1]))
     return best
-
-
-def _spanning_tree_with(g: Graph, forced: list[tuple[int, int]]) -> Graph:
-    """A spanning tree of ``g`` containing all forced edges."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    taken: list[tuple[int, int]] = []
-
-    def take(u: int, v: int) -> bool:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-        taken.append((u, v))
-        return True
-
-    for u, v in forced:
-        if not take(u, v):
-            raise InternalInvariantError("forced edges contain a cycle")
-    for u, v in g.edges():
-        take(u, v)
-    return Graph(g.n, taken)
 
 
 def _expand_pairs(
@@ -218,112 +256,528 @@ def _expand_pairs(
     raise InternalInvariantError("pair expansion found no square path")
 
 
-Edges = set[tuple[int, int]]
-Subproblem = tuple[Graph, dict[int, int], set[int]]
+class _View(dict):
+    """The graph of one level: the neighbour lists of the shared
+    adjacency restricted to the vertices marked ``mark``, each built on
+    first use.
+
+    It is its own ``adj``, which with ``has_edge`` is all that
+    ``_within_two``, ``_expand_pairs`` and the spider search read.
+    """
+
+    __slots__ = ("shared", "label", "mark")
+
+    def __init__(self, shared: list[list[int]], label: list[int], mark: int):
+        super().__init__()
+        self.shared, self.label, self.mark = shared, label, mark
+
+    def __missing__(self, v: int) -> list[int]:
+        label, mark = self.label, self.mark
+        nbrs = self[v] = [w for w in self.shared[v] if label[w] == mark]
+        return nbrs
+
+    @property
+    def adj(self) -> _View:
+        return self
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self[u]
+
+
+class _Levels:
+    """The state that every level of one build shares.
+
+    ``adj`` is the host's adjacency plus the edge from each open
+    branch's dummy to its cutvertex, ``label`` the mark of the innermost
+    level that holds each vertex, ``centre`` and ``partner`` the centre
+    flags and the centre matching as the innermost level sees them, and
+    ``result`` the adjacency of the result edges gathered so far.
+    """
+
+    def __init__(self, g: Graph, partner: dict[int, int], x: set[int]):
+        self.g = g
+        self.adj = [list(a) for a in g.adj]
+        self.label = [0] * g.n
+        self.marks = 0
+        self.centre = [v in x for v in range(g.n)]
+        self.partner = partner
+        self.result: list[set[int]] = [set() for _ in range(g.n)]
+
+    def dummy(self, depth: int) -> int:
+        """The id of the dummy of a branch at ``depth``, with its slots."""
+        y = self.g.n + depth
+        while len(self.adj) <= y:
+            self.adj.append([])
+            self.label.append(-1)
+            self.centre.append(False)
+            self.result.append(set())
+        return y
+
+    def add(self, edges) -> None:
+        result = self.result
+        for u, v in edges:
+            result[u].add(v)
+            result[v].add(u)
+
+    def build(self) -> set[tuple[int, int]]:
+        """Solve the level tree in post-order; the result edges."""
+        open_cuts: list[_Cut] = []
+        root = _Level(list(range(self.g.n)), _View(self.adj, self.label, 0))
+        step = self.split(root, 0)
+        while True:
+            if step is not None:
+                open_cuts.append(step)
+            elif open_cuts:
+                open_cuts[-1].take()
+            else:
+                return {(u, v) for u, vs in enumerate(self.result) for v in vs if u < v}
+            cut = open_cuts[-1]
+            if cut.done():
+                open_cuts.pop()
+                cut.join()
+                step = None
+            else:
+                step = self.split(*cut.next_branch())
+
+    def split(self, level: _Level, depth: int) -> _Cut | None:
+        """Solve a connected level outright, or split it at a cutvertex.
+
+        A solved level's edges go to the result.
+        """
+        view = level.view
+        if level.is_path():
+            self.add(_path_square_cycle(level.vertices(), view))
+            return None
+        if level.size <= 4:
+            # connected, not a path, at most 4 vertices: diameter <= 2, so
+            # the square is complete and the identity cycle works
+            self.add(_cycle_edges(level.vertices()))
+            return None
+        if level.cuts is None:
+            vs = level.vertices()
+            cuts = articulation_points(vs, view, dict.fromkeys(vs, -1), dict.fromkeys(vs, 0))
+            if not cuts:
+                if depth:
+                    raise InternalInvariantError("a level with a dummy leaf has no cutvertex")
+                self.add(_cycle_edges(fleischner_hamilton(self.g)))
+                return None
+            level.cuts = cuts
+        c = level.top_cut(self.label)
+        if c is None:
+            raise InternalInvariantError("no cutvertex of degree >= 3 in a non-path host")
+        nc = view[c]
+
+        # the components of the level minus c, searched from every gate in
+        # rounds, each search expanding up to ``budget`` vertices, which
+        # doubles per round, until a single group of searches that met
+        # is left with vertices to expand
+        owner = {c: -1}
+        stacks, parts = [], []
+        for i, gate in enumerate(nc):
+            owner[gate] = i
+            stacks.append([gate])
+            parts.append([gate])
+        group = list(range(len(nc)))
+
+        def root(i: int) -> int:
+            while group[i] != i:
+                group[i] = group[group[i]]
+                i = group[i]
+            return i
+
+        def search(i: int, budget: int) -> None:
+            stack, part = stacks[i], parts[i]
+            while stack and budget:
+                budget -= 1
+                for w in view[stack.pop()]:
+                    o = owner.get(w)
+                    if o is None:
+                        owner[w] = i
+                        part.append(w)
+                        stack.append(w)
+                    elif o != i and o >= 0:
+                        group[root(o)] = root(i)
+
+        live = list(range(len(nc)))
+        budget = 1
+        while len({root(i) for i in live}) > 1:
+            for i in live:
+                search(i, budget)
+            live = [i for i in live if stacks[i]]
+            budget *= 2
+        last = -1
+        if len(live) == 1 and sum(1 for i in range(len(nc)) if root(i) == root(live[0])) == 1:
+            # the last component holds one gate: it stays unsearched
+            last = live[0]
+        else:
+            for i in live:
+                search(i, -1)
+
+        members: dict[int, list[int]] = {}
+        for i in range(len(nc)):
+            if i != last:
+                members.setdefault(root(i), []).append(i)
+        nc_set, cuts = set(nc), level.cuts
+        branches = []
+        parked: list[int] = []
+        for searches in members.values():
+            part = sorted(v for i in searches for v in parts[i])
+            parked.extend(part)
+            if len(searches) == 1:
+                found = [(part, [])]
+            else:
+                found = self._tree_parts(part, view, c, nc_set)
+            for comp, ends in found:
+                if len(comp) >= 2:
+                    branches.append(
+                        (comp[0], comp, ends, [] if ends else [v for v in comp if v in cuts])
+                    )
+        heavy = None
+        if last >= 0:
+            # the largest branch's lowest vertex: the lowest of the level
+            # after c and the other components
+            level.link()
+            first = next(v for v in level.ascending() if v != c and owner.get(v, last) == last)
+            branches.append((first, None, [], []))
+            heavy = (nc[last], parked, sum(1 for v in parked if len(view[v]) >= 3))
+        if not branches:
+            # c is adjacent to everything, the square is complete
+            self.add(_cycle_edges(level.vertices()))
+            return None
+        branches.sort()
+        return _Cut(self, level, depth, c, nc, branches, heavy)
+
+    def _tree_parts(
+        self, part: list[int], view: _View, c: int, nc: set[int]
+    ) -> list[tuple[list[int], list[int]]]:
+        """The components of T minus c inside ``part``, a component of the
+        level minus c that holds several gates, each with its ends of
+        dropped edges.
+
+        T is the spanning tree of the level that takes the star at c,
+        then the matching edges not inside c's closed neighbourhood,
+        then every edge in sorted order that closes no cycle.  A
+        matching edge lies in one part, and union-find steps in
+        different parts do not interact, so ``part`` is done alone:
+        every gate starts as a gated root, and two gated roots never
+        merge, since in T their edge would close a cycle through c.
+        """
+        partner = self.partner
+        parent = {v: v for v in part}
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        gated = {v for v in part if v in nc}
+        for u in part:
+            v = partner.get(u)
+            if v is None or u > v or (u in nc and (v in nc or v == c)):
+                continue
+            ru, rv = find(u), find(v)
+            if ru == rv or (ru in gated and rv in gated):
+                raise InternalInvariantError("forced edges contain a cycle")
+            parent[ru] = rv
+            if ru in gated:
+                gated.add(rv)
+        dropped: list[int] = []
+        for u in part:
+            for v in view[u]:
+                if v < u or v == c:
+                    continue
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    continue
+                if ru in gated and rv in gated:
+                    dropped.append(u)
+                    dropped.append(v)
+                    continue
+                parent[ru] = rv
+                if ru in gated:
+                    gated.add(rv)
+        comps: dict[int, list[int]] = {}
+        for v in part:
+            comps.setdefault(find(v), []).append(v)
+        ends: dict[int, list[int]] = {}
+        for v in dropped:
+            ends.setdefault(find(v), []).append(v)
+        return [(comp, ends.get(r, [])) for r, comp in comps.items()]
+
+
+_HEAD = -1
+
+
+class _Level:
+    """A level as the split reads it.
+
+    ``view`` is its graph and ``size`` its vertex count.  Its vertices
+    come in ascending order from ``vs`` until the level first narrows;
+    from then on ``after`` and ``before`` link them into a ring closed by
+    ``_HEAD``, and ``wide`` counts its vertices of degree >= 3.  A
+    narrowed level is connected and has a pendant dummy, so it is a path
+    exactly when ``wide`` is 0.  ``cuts`` holds its cutvertices, None
+    until known, and ``heap`` those of degree >= 3 as (-degree, id),
+    stale entries dropped when met.  ``narrow`` turns the level into its
+    largest branch in place, at the cost of the vertices that leave it.
+    Building the ring only for levels that narrow keeps the many small
+    levels that end as paths as cheap as a list.
+    """
+
+    def __init__(self, vs: list[int], view: _View, cuts: set[int] | None = None):
+        self.view = view
+        self.mark = view.mark
+        self.vs: list[int] | None = vs
+        self.size = len(vs)
+        self.after: dict[int, int] | None = None
+        self.before: dict[int, int] = {}
+        self.wide = 0
+        self.cuts = cuts
+        self.heap: list[tuple[int, int]] | None = None
+
+    def ascending(self):
+        if self.after is None:
+            yield from self.vs
+            return
+        after = self.after
+        v = after[_HEAD]
+        while v != _HEAD:
+            yield v
+            v = after[v]
+
+    def vertices(self) -> list[int]:
+        return self.vs if self.after is None else list(self.ascending())
+
+    def link(self) -> None:
+        """Move from ``vs`` to the ring and the count of degree >= 3
+        vertices, before the level first narrows."""
+        if self.after is None:
+            ring = [_HEAD] + self.vs
+            self.after = dict(zip(ring, ring[1:] + [_HEAD]))
+            self.before = dict(zip(ring[1:] + [_HEAD], ring))
+            self.wide = sum(1 for v in self.vs if len(self.view[v]) >= 3)
+            self.vs = None
+
+    def is_path(self) -> bool:
+        """Degrees <= 2 and two ends: a path, the level being connected."""
+        if self.after is None:
+            degrees = [len(self.view[v]) for v in self.vs]
+            return max(degrees) <= 2 and degrees.count(1) == 2
+        return not self.wide
+
+    def top_cut(self, label: list[int]) -> int | None:
+        """The cutvertex of the highest degree >= 3, the lowest among ties."""
+        view, mark = self.view, self.mark
+        if self.heap is None:
+            self.heap = [(-len(view[v]), v) for v in self.cuts if len(view[v]) >= 3]
+            heapify(self.heap)
+        heap = self.heap
+        while heap:
+            d, v = heap[0]
+            if label[v] == mark and len(view[v]) == -d:
+                return v
+            heappop(heap)
+        return None
+
+    def narrow(self, c: int, gate: int, parked: list[int], lost: int, y: int) -> None:
+        """Become the branch at ``gate``: ``parked`` (the rest of the level
+        but c, with ``lost`` vertices of degree >= 3) leaves, and the
+        dummy ``y`` hangs at c, whose degree drops to 2.
+
+        The branch is a whole component of the level minus c, so every
+        other vertex keeps its neighbours, its degree and, as the module
+        docstring shows, its cutvertex status; c, a cutvertex of the
+        level, stays one through the dummy.
+        """
+        after, before, view = self.after, self.before, self.view
+        for v in parked:
+            a, b = after[v], before[v]
+            after[b] = a
+            before[a] = b
+        last = before[_HEAD]
+        after[last], before[y], after[y], before[_HEAD] = y, last, _HEAD, y
+        self.size += 1 - len(parked)
+        self.wide -= lost + 1
+        view[c] = [gate, y]
+        view[y] = [c]
 
 
 class _Cut:
     """A level split at cutvertex ``c``, collecting its branch solutions.
 
-    ``branches`` are the vertex sets (sorted, in order of their minimum)
-    of the components with at least two vertices of a spanning tree
-    minus ``c``.  ``next_branch`` builds the subproblem of the next
-    branch, ``take`` relabels that branch's solution into a contracted
-    pair and extra edges, and ``join`` spans the theta graph once every
-    branch is in.
+    ``branches`` holds, for each component with at least two vertices of
+    a spanning tree minus ``c``, in order of their lowest vertex: that
+    vertex, the vertex list (ascending), the ends of dropped edges in it
+    and the level's cutvertices in it.  The largest component, when the
+    search left it unsearched, has no list; ``heavy`` then holds its
+    gate, the rest of the level but c, and how many of those have degree
+    at least 3.
+    ``next_branch`` opens the next branch as a level, ``take`` reads that
+    branch's solution into a contracted pair and closes the branch, and
+    ``join`` spans the theta graph once every branch is in.
     """
 
     def __init__(
         self,
-        g: Graph,
-        partner: dict[int, int],
-        x: set[int],
+        levels: _Levels,
+        level: _Level,
+        depth: int,
         c: int,
-        branches: list[list[int]],
+        nc: list[int],
+        branches: list[tuple[int, list[int] | None, list[int], list[int]]],
+        heavy: tuple[int, list[int], int] | None,
     ):
-        self.g = g
-        self.partner = partner
-        self.x = x
+        self.levels = levels
+        # the level's state, which its largest branch takes over; the
+        # other branches take their neighbour lists along when opened
+        self.level = level
+        self.mark = level.mark
+        self.depth = depth
         self.c = c
-        self.nc = set(g.adj[c])
+        self.nc = set(nc)
         self.closed = self.nc | {c}
         self.branches = branches
+        self.heavy = heavy
         self.pairs: list[tuple[int, int]] = []
+        # engagement edges; they join the result with the theta graph
         self.extra_edges: list[tuple[int, int]] = []
-        # the branch whose solution is awaited: its old ids by local id,
-        # its gate, and the vertex the gate is engaged to, if any
-        self._awaited: tuple[list[int], int, int | None] = ([], -1, None)
+        # the open branch: the vertices whose mark ``take`` restores, its
+        # gate, the vertex the gate is engaged to if any, its dummy, and
+        # the changes to undo
+        self._awaited: tuple[list[int], int, int | None, int, list] = ([], -1, None, -1, [])
 
     def done(self) -> bool:
         return len(self.pairs) == len(self.branches)
 
-    def next_branch(self) -> Subproblem:
-        """The branch plus the cutvertex and a pendant dummy, relabelled
-        in ascending id order with the dummy last, its matching and its
-        centres."""
-        g, c, nc = self.g, self.c, self.nc
-        comp = self.branches[len(self.pairs)]
-        gates = [v for v in comp if v in nc]
-        if len(gates) != 1:
-            raise InternalInvariantError("branch meets the neighbourhood more than once")
-        u_i = gates[0]
+    def next_branch(self) -> tuple[_Level, int]:
+        """Open the next branch plus the cutvertex and a pendant dummy as
+        a level, with its depth.  Its centres are the level's, re-tested
+        near c and near dropped edges, and its matching is the level's,
+        restricted to the branch."""
+        lv, c, nc = self.levels, self.c, self.nc
+        _, comp, ends, comp_cuts = self.branches[len(self.pairs)]
+        depth = self.depth + 1
+        y = lv.dummy(depth)
+        label = lv.label
+        if comp is None:
+            # the largest branch keeps the level's mark and state; the
+            # rest of the level is unmarked while it is open
+            u_i, parked, lost = self.heavy
+            for v in parked:
+                label[v] = -1
+            label[y] = self.mark
+            lv.adj[c].append(y)
+            lv.adj[y] = [c]
+            level = self.level
+            level.narrow(c, u_i, parked, lost, y)
+            restore = parked
+        else:
+            gates = [v for v in comp if v in nc]
+            if len(gates) != 1:
+                raise InternalInvariantError("branch meets the neighbourhood more than once")
+            u_i = gates[0]
+            lv.marks += 1
+            mark = lv.marks
+            view = _View(lv.adj, label, mark)
+            # a vertex off the dropped edges has the same neighbours in the
+            # branch as in the level, so its list moves over; the others,
+            # c and the dummy are read afresh
+            take_list = self.level.view.pop
+            for v in comp:
+                label[v] = mark
+                view[v] = take_list(v)
+            for v in ends:
+                view.pop(v, None)
+            label[c] = label[y] = mark
+            lv.adj[c].append(y)
+            lv.adj[y] = [c]
+            vs = comp
+            insort(vs, c)
+            vs.append(y)
+            # with no dropped edge, comp is a component of the level minus c
+            level = _Level(vs, view, None if ends else set(comp_cuts) | {c})
+            restore = vs
+        view, mark = level.view, level.mark
 
-        inside = set(comp)
-        old = sorted(comp + [c])
-        index = {v: i for i, v in enumerate(old)}
-        y = len(old)
-        h_edges = [
-            (index[a], index[b])
-            for a in old
-            for b in g.adj[a]
-            if a < b and b in index
-        ]
-        h_edges.append((index[c], y))
-        h = Graph(len(old) + 1, h_edges)
+        centre, partner = lv.centre, lv.partner
+        # (store, key, previous value); None stands for no partner
+        undo: list = [(centre, c, centre[c])]
+        centre[c] = False
+        seeds = [u_i] + ends
+        near = set(seeds)
+        for a in seeds:
+            near.update(view[a])
+        sets = NeighbourSets(view)
+        for v in near:
+            if centre[v] and spider_witness(view, v, 3, sets) is None:
+                undo.append((centre, v, True))
+                centre[v] = False
+                p = partner.get(v)
+                if p is not None and label[p] == mark and p != c and not centre[p]:
+                    undo.append((partner, v, p))
+                    undo.append((partner, p, v))
+                    del partner[v], partner[p]
 
-        x_local = {
-            index[v]
-            for v in comp
-            if v in self.x and centre_witness(h, index[v], 3) is not None
-        }
-        sub_partner: dict[int, int] = {}
-        for a in comp:
-            b = self.partner.get(a)
-            if b is not None and b in inside:
-                la, lb = index[a], index[b]
-                if la in x_local or lb in x_local:
-                    sub_partner[la] = lb
         engaged_to = None
-        t_i = self.partner.get(u_i)
-        if index[u_i] in x_local and t_i is not None and t_i not in inside:
-            if t_i not in self.closed:
-                raise InternalInvariantError("engaged vertex outside the closed neighbourhood")
-            sub_partner[index[u_i]] = index[c]
-            sub_partner[index[c]] = index[u_i]
-            engaged_to = t_i
-        for v in x_local:
-            if v not in sub_partner:
-                raise InternalInvariantError("branch matching misses a centre")
-
-        self._awaited = (old, u_i, engaged_to)
-        return h, sub_partner, x_local
-
-    def take(self, sub: Edges) -> None:
-        """Relabel the awaited branch's solution: its edges at the
-        cutvertex and the dummy give the branch's entry pair, the others
-        carry over."""
-        old, u_i, engaged_to = self._awaited
-        lc, lu, ly = bisect_left(old, self.c), bisect_left(old, u_i), len(old)
-        if _norm(lc, ly) not in sub or _norm(lu, ly) not in sub:
-            raise InternalInvariantError("dummy leaf is not wired to the cut and its gate")
-        o_i = set()
-        for p, q in sub:
-            if p in (lc, ly) or q in (lc, ly):
-                other = q if p in (lc, ly) else p
-                if other not in (lc, ly):
-                    o_i.add(old[other])
+        t_i = partner.get(u_i)
+        if t_i is not None and (label[t_i] != mark or t_i == c):
+            undo.append((partner, u_i, t_i))
+            if centre[u_i]:
+                if t_i not in self.closed:
+                    raise InternalInvariantError("engaged vertex outside the closed neighbourhood")
+                partner[u_i] = c
+                engaged_to = t_i
             else:
-                self.extra_edges.append(_norm(old[p], old[q]))
+                del partner[u_i]
+        undo.append((partner, c, partner.get(c)))
+        if engaged_to is None:
+            partner.pop(c, None)
+        else:
+            partner[c] = u_i
+        # a vertex's partner leaves the level only at the gate, so in the
+        # largest branch the gate and the re-tested vertices are checked
+        for v in near if comp is None else comp:
+            if centre[v]:
+                p = partner.get(v)
+                if p is None or label[p] != mark:
+                    raise InternalInvariantError("branch matching misses a centre")
+
+        if _level_hook is not None:
+            vs = level.vertices()
+            cuts = None if level.cuts is None else {v for v in vs if v in level.cuts}
+            _level_hook(lv.adj, vs, view, {v for v in vs if centre[v]}, cuts)
+        self._awaited = (restore, u_i, engaged_to, y, undo)
+        return level, depth
+
+    def take(self) -> None:
+        """Close the open branch; its result edges at the cutvertex and
+        the dummy give the branch's entry pair, the others stay."""
+        lv, c, mark = self.levels, self.c, self.mark
+        restore, u_i, engaged_to, y, undo = self._awaited
+        label = lv.label
+        for v in restore:
+            label[v] = mark
+        label[y] = -1
+        lv.adj[c].pop()
+        lv.adj[y] = []
+        for store, key, old in reversed(undo):
+            if old is None:
+                store.pop(key, None)
+            else:
+                store[key] = old
+
+        result = lv.result
+        at_c, at_y = result[c], result[y]
+        if c not in at_y or u_i not in at_y:
+            raise InternalInvariantError("dummy leaf is not wired to the cut and its gate")
+        o_i = (at_c | at_y) - {c, y}
+        for w in at_c:
+            result[w].discard(c)
+        for w in at_y:
+            result[w].discard(y)
+        at_c.clear()
+        at_y.clear()
         if not (2 <= len(o_i) <= 3) or u_i not in o_i:
             raise InternalInvariantError(f"entry set {sorted(o_i)} is malformed")
         w_i = min(o_i - {u_i})
@@ -336,14 +790,16 @@ class _Cut:
                 raise InternalInvariantError("three entries but the gate is not engaged")
             v_i = rest.pop()
             e_i = _norm(v_i, engaged_to)
-            if not _within_two(self.g, *e_i):
+            if not _within_two(_View(lv.adj, label, mark), *e_i):
                 raise InternalInvariantError("engagement edge is not in the square")
             self.extra_edges.append(e_i)
 
-    def join(self) -> Edges:
-        """The theta graph over the contracted pairs, minus the pair
-        edges, plus every branch's carried-over edges."""
-        g, c, nc, pairs = self.g, self.c, self.nc, self.pairs
+    def join(self) -> None:
+        """Add the theta graph over the contracted pairs, minus the pair
+        edges, and the engagement edges to the result."""
+        lv = self.levels
+        g = _View(lv.adj, lv.label, self.mark)
+        c, nc, pairs = self.c, self.nc, self.pairs
         contracted = Graph(
             len(pairs),
             [
@@ -360,7 +816,7 @@ class _Cut:
         alpha = _bounded_alpha(contracted)
         if alpha > 3:
             raise InternalInvariantError("contracted pair graph has independence number > 3")
-        a_vertex = self.partner.get(c)
+        a_vertex = lv.partner.get(c)
         if alpha == 3 and a_vertex is None:
             raise InternalInvariantError("three independent pairs but the cutvertex is unmatched")
 
@@ -440,64 +896,8 @@ class _Cut:
                 raise InternalInvariantError("pair edge missing from the theta graph")
             result.remove(e)
         result.update(self.extra_edges)
-        return result
+        lv.add(result)
 
-
-def _split(g: Graph, partner: dict[int, int], x: set[int]) -> Edges | _Cut:
-    """Solve a connected level outright, or split it at a cutvertex.
-
-    ``x`` is the level's centre set and ``partner`` its centre matching,
-    both maps symmetric.
-    """
-    n = g.n
-    if max(map(len, g.adj)) <= 2 and is_path_graph(g):
-        return set(_path_square_cycle(g))
-    if n <= 4:
-        # connected, not a path, at most 4 vertices: diameter <= 2, so
-        # the square is complete and the identity cycle works
-        return _cycle_edges(list(range(n)))
-    cuts = cutvertices(g)
-    if not cuts:
-        return _cycle_edges(fleischner_hamilton(g))
-
-    cand = [v for v in cuts if g.degree(v) >= 3]
-    if not cand:
-        raise InternalInvariantError("no cutvertex of degree >= 3 in a non-path host")
-    top = max(g.degree(v) for v in cand)
-    c = min(v for v in cand if g.degree(v) == top)
-
-    closed = set(g.adj[c]) | {c}
-    m_far = sorted(
-        (u, v)
-        for u, v in partner.items()
-        if u < v and not (u in closed and v in closed)
-    )
-    star = [(c, w) for w in g.adj[c]]
-    tree = _spanning_tree_with(g, star + m_far)
-    branches = [comp for comp in components(tree, removed={c}) if len(comp) >= 2]
-    if not branches:
-        # c is adjacent to everything, the square is complete
-        return _cycle_edges(list(range(n)))
-    return _Cut(g, partner, x, c, branches)
-
-
-def _build(g: Graph, partner: dict[int, int], x: set[int]) -> Edges:
-    """Solve the level tree below ``g`` in post-order."""
-    open_cuts: list[_Cut] = []
-    step = _split(g, partner, x)
-    while True:
-        if isinstance(step, _Cut):
-            open_cuts.append(step)
-        elif open_cuts:
-            open_cuts[-1].take(step)
-        else:
-            return step
-        cut = open_cuts[-1]
-        if cut.done():
-            open_cuts.pop()
-            step = cut.join()
-        else:
-            step = _split(*cut.next_branch())
 
 
 def build_general_trestle(
@@ -529,7 +929,7 @@ def build_general_trestle(
     for u, v in edges:
         partner[u] = v
         partner[v] = u
-    trestle = _build(g, partner, x)
+    trestle = _Levels(g, partner, x).build()
     cert = TrestleCertificate.of(g, trestle, 3, matching_edges=edges)
     report = verify_trestle(cert)
     if not report.passed():

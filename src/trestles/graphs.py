@@ -167,12 +167,20 @@ def is_connected(g: Graph) -> bool:
 
 def cutvertices(g: Graph) -> set[int]:
     """Articulation points, by iterative lowpoint DFS."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
+    return articulation_points(range(g.n), g.adj, [-1] * g.n, [0] * g.n)
+
+
+def articulation_points(vertices, adj, disc, low) -> set[int]:
+    """Articulation points of the graph on ``vertices`` whose neighbour
+    lists ``adj`` gives, by iterative lowpoint DFS.
+
+    ``disc[v]`` must start at -1 for every vertex and ``low`` needs a
+    slot for each.  Lists indexed by id and dicts keyed by the vertices
+    both serve, so the search can run on part of a larger id space.
+    """
     result: set[int] = set()
     timer = 0
-    for root in range(n):
+    for root in vertices:
         if disc[root] != -1:
             continue
         root_children = 0
@@ -182,9 +190,9 @@ def cutvertices(g: Graph) -> set[int]:
         timer += 1
         while stack:
             v, parent, idx = stack.pop()
-            if idx < len(g.adj[v]):
+            if idx < len(adj[v]):
                 stack.append((v, parent, idx + 1))
-                w = g.adj[v][idx]
+                w = adj[v][idx]
                 if disc[w] == -1:
                     if v == root:
                         root_children += 1

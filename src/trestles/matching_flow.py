@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import DomainError, Graph, InternalInvariantError, Tree
-from .patterns import tree_profile
+from .patterns import TreeProfile, tree_profile
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,11 @@ class ArcAssignment:
     def out_sum(self, v: int) -> int:
         return sum(self.values.get((v, u), 0) for u in self.tree.adj[v])
 
-    def satisfies_demands(self, k: int) -> bool:
-        """The exact in-demand / out-cap system for parameter ``k``."""
-        profile = tree_profile(self.tree)
+    def satisfies_demands(self, k: int, profile: TreeProfile | None = None) -> bool:
+        """The exact in-demand / out-cap system for parameter ``k``;
+        ``profile``, if given, must be the tree's own."""
+        if profile is None:
+            profile = tree_profile(self.tree)
         for v in range(self.tree.n):
             nv = profile.n(v)
             if nv > k:
@@ -268,7 +270,7 @@ def feasible_assignment(t: Tree, k: int) -> ArcAssignment | None:
             spare[p] -= need[c]
     if spare[0] < 0 or need[0] > 0:
         return None
-    if not result.satisfies_demands(k):
+    if not result.satisfies_demands(k, profile):
         raise InternalInvariantError("leaf-to-root pass violates the demand system")
     return result
 

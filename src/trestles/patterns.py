@@ -9,6 +9,7 @@ least k non-leaf neighbours, and ``tree_profile`` counts those.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .graphs import DomainError, Graph, Tree
@@ -56,26 +57,32 @@ class TreeProfile:
         return {v for v, c in enumerate(self.non_leaf_neighbours) if c >= 3}
 
 
-def _spider_at(g: Graph, centre: int, k: int) -> SpiderEmbedding | None:
-    """Backtracking search for an induced spider centred at ``centre``."""
-    cn = set(g.adj[centre])
+def _spider_at(adj, centre: int, k: int, sets) -> SpiderEmbedding | None:
+    """Backtracking search for an induced spider centred at ``centre``.
 
-    def extend(mids: list[int], leaves: list[int], used: set[int]) -> SpiderEmbedding | None:
+    ``adj[v]`` lists the neighbours of v in ascending order and
+    ``sets[v]`` holds them as a set.  Mids are tried in ascending order
+    above the last mid, each with its leaves in ascending order, and the
+    first complete spider is returned.  ``blocked`` holds the centre,
+    the chosen mids and leaves and all their neighbours: exactly the
+    vertices that the next mid or leaf must avoid, so each test is one
+    set lookup.
+    """
+    around = adj[centre]
+    cn = sets[centre]
+
+    def extend(mids: list[int], leaves: list[int], blocked: set[int]) -> SpiderEmbedding | None:
         if len(mids) == k:
             return SpiderEmbedding(centre, tuple(mids), tuple(leaves))
-        start = mids[-1] + 1 if mids else 0
-        for m in g.adj[centre]:
-            if m < start or m in used:
+        start = bisect_right(around, mids[-1]) if mids else 0
+        for m in around[start:]:
+            if m in blocked:
                 continue
-            # mid must be non-adjacent to all previously chosen vertices
-            if any(g.has_edge(m, x) for x in mids + leaves):
-                continue
-            for l in g.adj[m]:
-                if l == centre or l in used or l in cn:
+            for l in adj[m]:
+                if l in blocked or l in cn:
                     continue
-                if any(g.has_edge(l, x) for x in mids + leaves):
-                    continue
-                found = extend(mids + [m], leaves + [l], used | {m, l})
+                # l is a neighbour of m and m one of l, so both are blocked
+                found = extend(mids + [m], leaves + [l], blocked | sets[m] | sets[l])
                 if found is not None:
                     return found
         return None
@@ -83,20 +90,46 @@ def _spider_at(g: Graph, centre: int, k: int) -> SpiderEmbedding | None:
     return extend([], [], {centre})
 
 
+class NeighbourSets(dict):
+    """``sets`` for ``spider_witness``: each neighbour set built on first use."""
+
+    __slots__ = ("adj",)
+
+    def __init__(self, adj):
+        super().__init__()
+        self.adj = adj
+
+    def __missing__(self, v: int) -> set[int]:
+        s = self[v] = set(self.adj[v])
+        return s
+
+
+def spider_witness(adj, v: int, k: int, sets) -> SpiderEmbedding | None:
+    """An induced S(K_{1,k}) centred at ``v`` in the graph whose ascending
+    neighbour lists ``adj`` gives, or None.
+
+    ``sets[v]`` is the neighbour set of v; calls on one graph may share
+    them.
+    """
+    if len(adj[v]) < k:
+        return None
+    return _spider_at(adj, v, k, sets)
+
+
 def centre_witness(g: Graph, v: int, k: int) -> SpiderEmbedding | None:
     """An induced S(K_{1,k}) centred at ``v``, or None."""
     if k < 2:
         raise DomainError("spider patterns need k >= 2")
-    if g.degree(v) < k:
-        return None
-    return _spider_at(g, v, k)
+    return spider_witness(g.adj, v, k, NeighbourSets(g.adj))
 
 
 def centres(g: Graph, k: int) -> set[int]:
     """All centres of induced copies of S(K_{1,k})."""
     if k < 2:
         raise DomainError("spider patterns need k >= 2")
-    return {v for v in range(g.n) if centre_witness(g, v, k) is not None}
+    adj = g.adj
+    sets = [set(a) for a in adj]
+    return {v for v in range(g.n) if spider_witness(adj, v, k, sets) is not None}
 
 
 def is_spider_free(g: Graph, k: int) -> bool:

@@ -170,9 +170,9 @@ def build_tree_trestle(t: Tree, k: int, a: ArcAssignment) -> TrestleCertificate:
         raise DomainError("need k >= 2 and n >= 3")
     if a.tree is not t and a.tree != t:
         raise DomainError("assignment belongs to a different tree")
-    if not a.satisfies_demands(k):
-        raise DomainError("assignment does not satisfy the demand system")
     profile = tree_profile(t)
+    if not a.satisfies_demands(k, profile):
+        raise DomainError("assignment does not satisfy the demand system")
     expected = [
         a.out_sum(v) + max(2, profile.n(v)) for v in range(t.n)
     ]

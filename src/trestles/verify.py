@@ -14,6 +14,14 @@ from dataclasses import dataclass, field
 from .graphs import Graph
 
 
+def _degrees(n: int, edges) -> list[int]:
+    degs = [0] * n
+    for u, v in edges:
+        degs[u] += 1
+        degs[v] += 1
+    return degs
+
+
 @dataclass(frozen=True)
 class TrestleCertificate:
     """A claimed k-trestle of the square of ``host``."""
@@ -34,11 +42,8 @@ class TrestleCertificate:
         return TrestleCertificate(host, norm, k, m, e)
 
     def degrees(self) -> list[int]:
-        degs = [0] * self.host.n
-        for u, v in self.edge_list:
-            degs[u] += 1
-            degs[v] += 1
-        return degs
+        """Degrees in the certificate; every endpoint must be a host vertex."""
+        return _degrees(self.host.n, self.edge_list)
 
     def to_jsonable(self) -> dict:
         data = {
@@ -142,14 +147,19 @@ def verify_trestle(cert: TrestleCertificate) -> VerificationReport:
         not bad,
         "" if not bad else f"offending edges: {bad[:5]}",
     )
-    degs = cert.degrees()
+    edges = cert.edge_list
+    if bad:
+        # an endpoint outside the host fails the check above; the other
+        # checks see only the edges between host vertices
+        edges = tuple((u, v) for u, v in edges if 0 <= u < host.n and 0 <= v < host.n)
+    degs = _degrees(host.n, edges)
     isolated = [v for v in range(host.n) if degs[v] == 0]
     report.add(
         "spanning",
         host.n >= 3 and not isolated,
         "" if not isolated else f"untouched vertices: {isolated[:5]}",
     )
-    ok, why = _biconnected(host.n, cert.edge_list)
+    ok, why = _biconnected(host.n, edges)
     report.add("two_connected", ok, why)
     over = [v for v in range(host.n) if degs[v] > cert.k]
     report.add(

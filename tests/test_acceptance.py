@@ -9,6 +9,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 from helpers import base_patterns, matched_spider_free_instances, two_connected_graphs
 
 from trestles.general_trestle import build_general_trestle
@@ -183,6 +185,7 @@ def test_criterion_6_corollary_equivalence(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_base_patterns(capsys):
     base = base_patterns()
     t0 = base.t0
@@ -324,6 +327,7 @@ def test_criterion_8_gallai_milgram(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_fleischner(capsys):
     checked = 0
     failures = []

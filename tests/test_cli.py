@@ -115,6 +115,34 @@ def test_build_squares_the_host_only_for_dot(capsys, monkeypatch, tmp_path, p5):
     assert code == 0 and without_dot == with_dot
 
 
+@pytest.mark.parametrize(
+    "edges", [[[0]], [[0, 9]], "xx"], ids=["short-pair", "out-of-range", "not-a-list"]
+)
+def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, edges):
+    host = tmp_path / "p4.el"
+    host.write_bytes(write_edgelist(path_graph(4)))
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({"k": 3, "edges": edges}))
+    code = main(["verify", str(host), "--certificate", str(cert)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: certificate 'edges' must be")
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch, tmp_path):
+    # a KeyError from the builder's own bookkeeping is a fault, not bad input
+    path = tmp_path / "c6.el"
+    path.write_bytes(write_edgelist(cycle_graph(6)))
+
+    def broken(g, matching_edges):
+        raise KeyError(7)
+
+    monkeypatch.setattr(cli, "build_general_trestle", broken)
+    with pytest.raises(KeyError):
+        main(["build", str(path), "--k", "3"])
+
+
 def test_usage_error_on_missing_file(capsys):
     code = main(["decide", "/nonexistent/file.el", "--k", "3"])
     assert code == 2

@@ -17,11 +17,13 @@ from helpers import (
     sprinkle_chords,
 )
 
+from trestles import general_trestle, graphs
 from trestles.general_trestle import _bounded_alpha, build_general_trestle, path_square_cycle
 from trestles.graphs import (
     DomainError,
     Graph,
     complete_graph,
+    cutvertices,
     cycle_graph,
     path_graph,
     spider,
@@ -196,3 +198,94 @@ def test_pendant_clique_builds_a_hamilton_cycle():
     cert = build_general_trestle(g, ())
     assert all(d == 2 for d in cert.degrees())
     assert len(cert.edge_list) == g.n
+
+
+class _FullSearch:
+    """Level hook: rebuilds each branch as a ``Graph`` from the shared
+    adjacency and checks the view's neighbour lists, the re-tested
+    centres and the inherited cutvertices against full searches."""
+
+    def __init__(self):
+        self.levels = 0
+        self.inherited = 0
+        self.retained = 0
+
+    def __call__(self, adj, vs, view, found, cuts):
+        inside = set(vs)
+        index = {v: i for i, v in enumerate(vs)}
+        for u in vs:
+            assert view[u] == [w for w in adj[u] if w in inside]
+        h = Graph(len(vs), [(index[u], index[w]) for u in vs for w in adj[u] if w in inside])
+        assert {vs[i] for i in centres(h, 3)} == found
+        if cuts is not None:
+            assert {vs[i] for i in cutvertices(h)} == cuts
+            self.inherited += 1
+        self.levels += 1
+        self.retained += len(found)
+
+
+def test_branch_views_match_full_searches(monkeypatch):
+    hook = _FullSearch()
+    monkeypatch.setattr(general_trestle, "_level_hook", hook)
+    hosts = list(chorded_host_corpus(seed=11)) + list(
+        matched_spider_free_instances(seed=7, count=300)
+    )
+    for g, m in hosts:
+        build_general_trestle(g, m.edge_list)
+    # 4956 branches, 4753 of them inheriting their cutvertices, and 2256
+    # centres kept in all; both kinds of branch occur
+    assert hook.levels > 4000 and hook.levels // 2 < hook.inherited < hook.levels
+    assert hook.retained > 1000
+
+
+@given(prufer_trees(), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_chorded_prufer_branch_views_match_full_searches(t, chords, rng):
+    g = sprinkle_chords(rng, t, chords)
+    matching = builder_matching(g)
+    if matching is None:
+        return
+    saved, general_trestle._level_hook = general_trestle._level_hook, _FullSearch()
+    try:
+        build_general_trestle(g, matching.edge_list)
+    finally:
+        general_trestle._level_hook = saved
+
+
+def test_centre_across_a_dropped_edge_is_re_tested(monkeypatch):
+    # the cycle 0-1-3-5-6-4-2-0 runs through the cutvertex 0, which also
+    # has the tail 0-9-10; the edge 5-6 closes the cycle last, so the
+    # spanning tree drops it.  Vertex 5 centres the spider with arms
+    # 3-1, 6-4 and 7-8, and loses the arm 6-4 in its branch, two steps
+    # away from the gate 1
+    g = Graph(
+        11,
+        [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6), (5, 7), (7, 8), (0, 9), (9, 10)],
+    )
+    assert centres(g, 3) == {0, 5}
+    hook = _FullSearch()
+    monkeypatch.setattr(general_trestle, "_level_hook", hook)
+    build_general_trestle(g, builder_matching(g).edge_list)
+    assert hook.levels == 3 and hook.retained == 0
+    # matched to 6, vertex 5 makes the tree take 5-6, so 4-6 is dropped
+    # instead and 5 loses the same arm as a neighbour of a dropped edge
+    build_general_trestle(g, [(0, 9), (5, 6)])
+    assert hook.levels == 8 and hook.retained == 0
+
+
+def test_comb_builds_no_graph_per_level(monkeypatch):
+    # the only graphs built are the contracted pair graphs of the joins,
+    # one vertex per branch of a cut, so none has more vertices than the
+    # host's maximum degree; a copy per level would have up to 3 * 300
+    sizes = []
+    init = graphs.Graph.__init__
+
+    def counting_init(self, n, edges=()):
+        sizes.append(n)
+        init(self, n, edges)
+
+    comb = path_ordered_comb(300)
+    matching = builder_matching(comb)
+    monkeypatch.setattr(graphs.Graph, "__init__", counting_init)
+    build_general_trestle(comb, matching.edge_list)
+    top = max(comb.degree(v) for v in range(comb.n))
+    assert sizes and max(sizes) <= top

@@ -1,3 +1,8 @@
+import hashlib
+import json
+
+from helpers import chorded_host_corpus, random_red_graphs
+
 from trestles.graphs import Graph, Tree, path_graph, spider, square
 from trestles.patterns import (
     centre_witness,
@@ -69,3 +74,29 @@ def test_non_tree_centre():
         [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (1, 5), (5, 6), (2, 7), (7, 8)],
     )
     assert centres(g, 3) == set()  # triangle neighbours are adjacent
+
+
+# SHA-256 of centres(g, k) and of every centre_witness(g, v, k), k = 2, 3,
+# 4, on the hosts below, as the search over tuple adjacency found them;
+# the search over neighbour sets must keep every witness
+CENTRE_DIGEST = "8dc9246e1a4126fc48d5e95f89c33e361deb6e520ae5464bac925be933e2f29d"
+
+
+def _centre_lines():
+    hosts = [g for g, _ in chorded_host_corpus(seed=11)]
+    hosts += [g for g, _ in random_red_graphs(seed=23, count=2000)]
+    hosts += [g for g, _ in random_red_graphs(seed=29, count=300, max_n=24)]
+    for g in hosts:
+        for k in (2, 3, 4):
+            yield sorted(centres(g, k))
+            for v in range(g.n):
+                w = centre_witness(g, v, k)
+                yield None if w is None else [w.centre, list(w.mids), list(w.leaves)]
+
+
+def test_centres_and_witnesses_match_golden_digest():
+    h = hashlib.sha256()
+    for line in _centre_lines():
+        h.update(json.dumps(line).encode() + b"\n")
+    assert h.hexdigest() == CENTRE_DIGEST
+

@@ -1,5 +1,5 @@
-"""Deep inputs: the tree decision, the tree builder and Kuhn's search
-must not recurse.
+"""Deep inputs: the tree decision, both builders and Kuhn's search must
+not recurse.
 
 The decisions and builds below run on trees with up to 10^5 vertices;
 the matching instance needs an augmenting path longer than the
@@ -9,7 +9,16 @@ interpreter's recursion limit.
 import random
 import sys
 
-from helpers import frame_depth, path_ordered_comb, random_bounded_tree, random_caterpillar
+import pytest
+
+from helpers import (
+    builder_matching,
+    frame_depth,
+    path_ordered_comb,
+    random_bounded_tree,
+    random_caterpillar,
+)
+from trestles.general_trestle import build_general_trestle
 from trestles.graphs import Tree
 from trestles.matching_flow import max_bipartite_matching
 from trestles.patterns import tree_profile
@@ -31,6 +40,7 @@ def _starved_vertex(t: Tree, k: int) -> int | None:
     return None
 
 
+@pytest.mark.slow
 def test_random_bounded_tree_decisions():
     t = random_bounded_tree(random.Random(1), N, maxdeg=3)
     assert decide_tree_trestle(t, 3) is None
@@ -39,12 +49,14 @@ def test_random_bounded_tree_decisions():
     assert a is not None and a.satisfies_demands(4)
 
 
+@pytest.mark.slow
 def test_path_ordered_comb_is_feasible_at_k3():
     t = path_ordered_comb(N // 3)
     a = decide_tree_trestle(t, 3)
     assert a is not None and a.satisfies_demands(3)
 
 
+@pytest.mark.slow
 def test_large_star_decides_in_linear_time():
     # a hub of degree N - 1: demand sums must not rescan its adjacency
     t = Tree(N, [(0, v) for v in range(1, N)])
@@ -86,18 +98,39 @@ def test_spine_1000_comb_builds_at_k3():
     _builds_with_exact_degrees(path_ordered_comb(1000), 3)
 
 
+@pytest.mark.slow
 def test_long_three_legged_spider_builds_at_k3():
     _builds_with_exact_degrees(_spider(3, 30_000), 3)
 
 
+@pytest.mark.slow
 def test_hairy_caterpillar_builds_at_k2():
     t = random_caterpillar(random.Random(2), N)
     assert sum(1 for v in range(t.n) if t.degree(v) == 1) > N // 4
     _builds_with_exact_degrees(t, 2)
 
 
+@pytest.mark.slow
 def test_random_bounded_tree_builds_at_k4():
     _builds_with_exact_degrees(random_bounded_tree(random.Random(1), N, maxdeg=3), 4)
+
+
+@pytest.mark.slow
+def test_spine_10000_comb_general_build():
+    # the split peels one spine vertex per level, so about 10^4 levels
+    # nest; scanning each level in full would touch about n^2 / 6 = 1.5e8
+    # vertices, while the largest branch is never listed
+    comb = path_ordered_comb(10_000)
+    matching = builder_matching(comb)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 100)
+    try:
+        cert = build_general_trestle(comb, matching.edge_list)
+    finally:
+        sys.setrecursionlimit(limit)
+    matched = matching.covered()
+    degrees = cert.degrees()
+    assert all(degrees[v] == 2 for v in range(comb.n) if v not in matched)
 
 
 def _kuhn_recursive(left, adjacency):

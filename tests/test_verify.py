@@ -101,3 +101,13 @@ def test_large_star_certificate_verifies():
     star = Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
     report = verify_trestle(TrestleCertificate.of(star, _cycle(leaves + 1), 2))
     assert report.passed(), report.failed_checks()
+
+
+def test_out_of_range_edges_fail_without_raising():
+    p = path_graph(5)
+    for stray in [(3, 9), (-1, 2), (5, 5)]:
+        cert = TrestleCertificate.of(p, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), stray], 2)
+        report = verify_trestle(cert)
+        assert report.failed_checks() == ["edges_in_square"]
+        detail = [c for c in report.checks if c.check == "edges_in_square"][0].detail
+        assert str(tuple(sorted(stray))) in detail
