@@ -199,13 +199,13 @@ def articulation_points(vertices, adj, disc, low) -> set[int]:
                     disc[w] = low[w] = timer
                     timer += 1
                     stack.append((w, v, 0))
-                elif w != parent:
-                    low[v] = min(low[v], disc[w])
-            else:
-                if parent != -1:
-                    low[parent] = min(low[parent], low[v])
-                    if parent != root and low[v] >= disc[parent]:
-                        result.add(parent)
+                elif w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+            elif parent != -1:
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if parent != root and low[v] >= disc[parent]:
+                    result.add(parent)
         if root_children >= 2:
             result.add(root)
     return result

@@ -17,6 +17,7 @@ from .graphs import (
     Graph,
     InternalInvariantError,
     Tree,
+    articulation_points,
     is_two_connected,
     square,
 )
@@ -59,45 +60,18 @@ class _OutOfBudget(Exception):
     pass
 
 
-def _two_connected_quick(n: int, edge_set: set[tuple[int, int]]) -> bool:
+def _two_connected(n: int, edges) -> bool:
+    """2-connectivity of the graph on 0..n-1 (n >= 3) with these edges:
+    minimum degree 2, and one lowpoint DFS from vertex 0 that reaches
+    every vertex and finds no articulation point."""
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edge_set:
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     if any(len(a) < 2 for a in adj):
         return False
-    # single-root iterative lowpoint DFS; disconnection shows up as
-    # unvisited vertices at the end
     disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    root_children = 0
-    stack = [(0, -1, 0)]
-    disc[0] = low[0] = timer
-    timer += 1
-    visited = 1
-    while stack:
-        v, parent, idx = stack.pop()
-        if idx < len(adj[v]):
-            stack.append((v, parent, idx + 1))
-            w = adj[v][idx]
-            if disc[w] == -1:
-                if v == 0:
-                    root_children += 1
-                disc[w] = low[w] = timer
-                timer += 1
-                visited += 1
-                stack.append((w, v, 0))
-            elif w != parent:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        else:
-            if parent != -1:
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if parent != 0 and low[v] >= disc[parent]:
-                    return False
-    return visited == n and root_children < 2
+    return not articulation_points([0], adj, disc, [0] * n) and -1 not in disc
 
 
 def brute_force_trestle(g: Graph, k: int, budget: SearchBudget | None = None) -> TrestleSearchResult:
@@ -127,13 +101,13 @@ def brute_force_trestle(g: Graph, k: int, budget: SearchBudget | None = None) ->
             for w in higher[u]:
                 if degree[w] < k:
                     edges.add((u, w))
-        return _two_connected_quick(n, edges)
+        return _two_connected(n, edges)
 
     def rec(v: int) -> tuple[tuple[int, int], ...] | None:
         if not tracker.tick():
             raise _OutOfBudget
         if v == n:
-            if _two_connected_quick(n, chosen):
+            if _two_connected(n, chosen):
                 return tuple(sorted(chosen))
             return None
         options = [w for w in higher[v] if degree[w] < k]
@@ -188,7 +162,7 @@ def brute_force_trestle_by_degrees(g: Graph, k: int, budget: SearchBudget | None
             if not tracker.tick():
                 raise _OutOfBudget
             if v == n:
-                if all(r == 0 for r in remaining) and _two_connected_quick(n, chosen):
+                if all(r == 0 for r in remaining) and _two_connected(n, chosen):
                     return tuple(sorted(chosen))
                 return None
             options = [w for w in higher[v] if remaining[w] > 0]
@@ -234,6 +208,11 @@ def brute_force_trestle_by_degrees(g: Graph, k: int, budget: SearchBudget | None
 def hamilton_cycle(g: Graph, budget: SearchBudget | None = None) -> list[int] | None:
     """Backtracking Hamilton cycle search; None means none exists.
 
+    Extends a path from vertex 0 by the tip's unvisited neighbours in
+    ascending order, one budget node per path, on explicit stacks so
+    long cycles do not recurse.  A path whose unvisited rest does not
+    hang together with its tip and vertex 0 is abandoned.
+
     Raises SearchBudgetExhausted on exhausted budget so callers never
     mistake a cutoff for a verdict.
     """
@@ -244,8 +223,6 @@ def hamilton_cycle(g: Graph, budget: SearchBudget | None = None) -> list[int] | 
     tracker = budget.tracker()
     masks = g.adjacency_masks()
     all_mask = (1 << n) - 1
-    path = [0]
-    used = 1
 
     def connected_enough(used_mask: int, tip: int) -> bool:
         # unvisited vertices plus the tip and the start must hang together
@@ -255,49 +232,43 @@ def hamilton_cycle(g: Graph, budget: SearchBudget | None = None) -> list[int] | 
         seed = free & masks[tip]
         if seed == 0:
             return False
-        comp = seed & (-seed)
-        while True:
-            grow = comp
-            m = comp
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                grow |= masks[v] & free
-            if grow == comp:
-                break
-            comp = grow
+        comp = frontier = seed & (-seed)
+        while frontier:
+            grow = 0
+            while frontier:
+                v = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                grow |= masks[v]
+            frontier = grow & free & ~comp
+            comp |= frontier
         if comp != free:
             return False
         # the start vertex must stay reachable from the free region
-        return bool(masks[0] & (free | (1 << path[-1])))
+        return bool(masks[0] & (free | (1 << tip)))
 
-    def rec() -> bool:
+    path = [0]
+    used = 1
+    untried: list[int] = []  # per path vertex, the extensions not yet tried
+    while True:
         if not tracker.tick():
-            raise _OutOfBudget
-        nonlocal used
+            raise SearchBudgetExhausted("Hamilton search budget exhausted")
         tip = path[-1]
         if len(path) == n:
-            return bool(masks[tip] & 1)
-        if not connected_enough(used, tip):
-            return False
-        m = masks[tip] & ~used
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            path.append(v)
-            used |= 1 << v
-            if rec():
-                return True
-            path.pop()
-            used &= ~(1 << v)
-        return False
-
-    try:
-        if rec():
-            return list(path)
-    except _OutOfBudget:
-        raise SearchBudgetExhausted("Hamilton search budget exhausted") from None
-    return None
+            if masks[tip] & 1:
+                return path
+            untried.append(0)
+        else:
+            untried.append(masks[tip] & ~used if connected_enough(used, tip) else 0)
+        while not untried[-1]:
+            untried.pop()
+            used &= ~(1 << path.pop())
+            if not untried:
+                return None
+        m = untried[-1]
+        untried[-1] = m & (m - 1)
+        v = (m & -m).bit_length() - 1
+        path.append(v)
+        used |= 1 << v
 
 
 def fleischner_hamilton(g: Graph, budget: SearchBudget | None = None) -> list[int]:
@@ -358,8 +329,6 @@ def independence_number(g: Graph) -> int:
 
 def _rooted_level_sequences(n: int):
     """Beyer-Hedetniemi successor generation of rooted level sequences."""
-    if n <= 0:
-        return
     levels = list(range(n))
     yield tuple(levels)
     if n <= 2:
@@ -378,100 +347,101 @@ def _rooted_level_sequences(n: int):
         yield tuple(levels)
 
 
-def _levels_to_edges(levels: tuple[int, ...]) -> list[tuple[int, int]]:
+def _level_adjacency(levels: tuple[int, ...]) -> list[list[int]]:
+    """Neighbour lists of the rooted tree a level sequence lists in preorder."""
+    adj: list[list[int]] = [[] for _ in levels]
     parent_at = {}
-    edges = []
-    for i, lev in enumerate(levels):
+    for v, lev in enumerate(levels):
         if lev > 0:
-            edges.append((parent_at[lev - 1], i))
-        parent_at[lev] = i
-    return edges
+            adj[v].append(parent_at[lev - 1])
+            adj[parent_at[lev - 1]].append(v)
+        parent_at[lev] = v
+    return adj
 
 
-def _centroids(n: int, adj: list[list[int]]) -> list[int]:
-    size = [1] * n
-    parent = [-1] * n
-    order = []
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
+def _bfs_order(adj, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from ``root``, and each vertex's parent."""
+    parent = [-1] * len(adj)
+    parent[root] = root
+    order = [root]
+    for v in order:
         for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
+            if parent[w] < 0:
                 parent[w] = v
-                stack.append(w)
+                order.append(w)
+    return order, parent
+
+
+def _rooted_code(adj, root: int) -> str:
+    """The code of a rooted tree: "(", the children's codes in ascending
+    order, ")".  Built bottom-up over a breadth-first order, so deep
+    trees do not recurse."""
+    order, parent = _bfs_order(adj, root)
+    kids: list = [[] for _ in adj]
     for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    result = []
-    for v in range(n):
-        heaviest = n - size[v]
-        for w in adj[v]:
-            if parent[w] == v:
-                heaviest = max(heaviest, size[w])
-        if heaviest <= n // 2:
-            result.append(v)
-    return result
+        code = "(" + "".join(sorted(kids[v])) + ")"
+        kids[v] = None  # held by the parent's code from here on
+        if v != root:
+            kids[parent[v]].append(code)
+    return code
 
 
-def _subtree_code(adj: list[list[int]], root: int, parent: int) -> str:
-    subs = sorted(_subtree_code(adj, w, root) for w in adj[root] if w != parent)
-    return "(" + "".join(subs) + ")"
+def _tree_code(adj) -> str:
+    """The least code of the tree rooted at a centroid (a vertex whose
+    removal leaves no component with more than half the vertices).
+
+    Isomorphisms map centroids to centroids, and a rooted code spells
+    its rooted tree (``_code_tree``), so two trees get the same code iff
+    they are isomorphic.
+    """
+    n = len(adj)
+    order, parent = _bfs_order(adj, 0)
+    size, heaviest = [1] * n, [0] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+        heaviest[parent[v]] = max(heaviest[parent[v]], size[v])
+    return min(_rooted_code(adj, c) for c in range(n) if max(heaviest[c], n - size[c]) <= n // 2)
+
+
+def _code_tree(code: str) -> Tree:
+    """The tree a code spells: each "(" opens the next id as a child of
+    the innermost open vertex, each ")" closes it.
+
+    Ids thus run in preorder from the root, children in ascending code
+    order: the labelling "centroid root, children sorted by subtree
+    code, preorder ids", since tied children have isomorphic subtrees.
+    """
+    edges: list[tuple[int, int]] = []
+    open_ids = [0]
+    for ch in code[1:]:
+        if ch == ")":
+            open_ids.pop()
+        else:
+            edges.append((open_ids[-1], len(edges) + 1))
+            open_ids.append(len(edges))
+    return Tree(len(edges) + 1, edges)
 
 
 def tree_canonical_form(t: Graph) -> Tree:
     """Canonical labelling: centroid root, children by subtree code, preorder ids."""
-    n = t.n
-    adj = [list(t.adj[v]) for v in range(n)]
-    if n == 1:
-        return Tree(1, [])
-    root = min(_centroids(n, adj), key=lambda c: _subtree_code(adj, c, -1))
-
-    new_id = {}
-    edges = []
-
-    def assign(v: int, parent: int) -> None:
-        new_id[v] = len(new_id)
-        kids = sorted(
-            (w for w in adj[v] if w != parent),
-            key=lambda w: _subtree_code(adj, w, v),
-        )
-        for w in kids:
-            edges.append((new_id[v], len(new_id)))
-            assign(w, v)
-
-    assign(root, -1)
-    return Tree(n, edges)
+    return _code_tree(_tree_code(t.adj))
 
 
 def enumerate_trees(n: int):
     """One canonically labelled representative per free tree on n vertices.
 
-    Generated by rooted level-sequence succession with free-tree
-    deduplication via centroid-rooted subtree codes.  1 <= n <= 16.
+    Rooted level sequences come in Beyer-Hedetniemi succession; each
+    one's free-tree code both deduplicates the stream and spells the
+    representative.  1 <= n <= 16.
     """
     if not 1 <= n <= 16:
         raise DomainError("tree enumeration is guarded to 1 <= n <= 16")
     seen: set[str] = set()
     for levels in _rooted_level_sequences(n):
-        edges = _levels_to_edges(levels)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        if n == 1:
-            key = "()"
-        else:
-            key = min(
-                _subtree_code(adj, c, -1) for c in _centroids(n, adj)
-            )
-        if key in seen:
-            continue
-        seen.add(key)
-        yield tree_canonical_form(Graph(n, edges))
+        code = _tree_code(_level_adjacency(levels))
+        if code not in seen:
+            seen.add(code)
+            yield _code_tree(code)
 
 
 # ---------------------------------------------------------------------------
@@ -479,57 +449,84 @@ def enumerate_trees(n: int):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_two_connected(max_n: int):
-    """All 2-connected graphs with 3 <= n <= max_n (max_n <= 8), up to iso.
+def _mask_edges(masks) -> list[tuple[int, int]]:
+    return [(u, v) for v in range(len(masks)) for u in range(v) if masks[v] >> u & 1]
 
-    Backed by the networkx graph atlas for n <= 7; the n = 8 layer is
-    produced by vertex augmentation of connected 7-vertex graphs with
-    VF2 deduplication.
+
+def _refine(nbrs: list[list[int]], colour: list[int]) -> list[int]:
+    """Colour refinement: recolour every vertex by the rank of (its
+    colour, its number of neighbours in each colour) until no cell splits."""
+    n = len(nbrs)
+    width = n.bit_length()  # bits per count; counts stay below n
+    while True:
+        sig = [colour[v] << (width * n) | sum(1 << (width * colour[w]) for w in nbrs[v]) for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        if len(rank) == len(set(colour)):
+            return colour
+        colour = [rank[s] for s in sig]
+
+
+def _canonical_masks(masks) -> tuple[int, ...]:
+    """Canonical form of a graph given by neighbour bitmasks: the least
+    relabelled copy over the leaves of an individualisation-refinement
+    search, as the copy's bitmasks.
+
+    A node refines its colouring.  While some cell has several vertices,
+    each vertex v of the smallest such cell (lowest colour on ties) is
+    one child, where v takes a colour of its own just below the rest of
+    its cell.  A discrete colouring is a relabelling.  Refinement, the
+    cell choice and the new colours read only colours and adjacency,
+    never ids, so relabelling the input by p maps the search onto that
+    of the relabelled input, leaf to leaf with equal relabelled copies:
+    the least copy is the same for isomorphic graphs and, being a copy,
+    differs for non-isomorphic ones.  A vertex that is a twin (same
+    neighbours apart from each other) of one already branched on in its
+    cell is skipped: swapping the two is an automorphism that fixes the
+    colouring, so both branches reach the same copies.
     """
-    import networkx as nx
-    from networkx.generators.atlas import graph_atlas_g
+    n = len(masks)
+    nbrs = [[w for w in range(n) if m >> w & 1] for m in masks]
+    leaves = []
+    stack = [_refine(nbrs, [0] * n)]
+    while stack:
+        colour = stack.pop()
+        cells = [(colour.count(c), c) for c in set(colour) if colour.count(c) > 1]
+        if not cells:
+            by_label = sorted(range(n), key=colour.__getitem__)
+            leaves.append(tuple(sum(1 << colour[w] for w in nbrs[v]) for v in by_label))
+            continue
+        c = min(cells)[1]
+        branched: list[int] = []
+        for v in range(n):
+            if colour[v] == c and all(masks[v] & ~(1 << u) != masks[u] & ~(1 << v) for u in branched):
+                branched.append(v)
+                stack.append(_refine(nbrs, [x + (x > c or (x == c and u != v)) for u, x in enumerate(colour)]))
+    return min(leaves)
 
+
+def enumerate_two_connected(max_n: int):
+    """All 2-connected graphs with 3 <= n <= max_n (max_n <= 8), up to
+    iso, in canonical form, layer by layer in order of their codes.
+
+    Layer n joins a new vertex to each nonempty subset of each connected
+    graph on n - 1 vertices and keeps one graph per ``_canonical_masks``
+    form; the last layer keeps only 2-connected graphs.  A connected
+    graph arises from itself minus a leaf of a spanning tree, a
+    2-connected one from itself minus any vertex.
+    """
     if max_n > 8:
         raise DomainError("2-connected enumeration is guarded to n <= 8")
-
-    def to_graph(nxg) -> Graph:
-        mapping = {v: i for i, v in enumerate(sorted(nxg.nodes()))}
-        return Graph(
-            nxg.number_of_nodes(),
-            [(mapping[u], mapping[v]) for u, v in nxg.edges()],
-        )
-
-    atlas = graph_atlas_g()
-    seven_connected = []
-    for nxg in atlas:
-        n = nxg.number_of_nodes()
-        if n == 7 and nxg.number_of_edges() and nx.is_connected(nxg):
-            seven_connected.append(nxg)
-        if n < 3 or n > min(max_n, 7):
-            continue
-        g = to_graph(nxg)
-        if is_two_connected(g):
-            yield g
-    if max_n < 8:
-        return
-
-    buckets: dict[tuple, list] = {}
-    for base in seven_connected:
-        base = nx.convert_node_labels_to_integers(base, ordering="sorted")
-        nodes = list(base.nodes())
-        for size in range(2, 8):
-            for nbrs in itertools.combinations(nodes, size):
-                cand = base.copy()
-                cand.add_node(7)
-                cand.add_edges_from((7, v) for v in nbrs)
-                g = to_graph(cand)
-                if not is_two_connected(g):
-                    continue
-                degseq = tuple(sorted(g.degree(v) for v in range(8)))
-                tri = tuple(sorted(nx.triangles(cand).values()))
-                key = (g.num_edges(), degseq, tri)
-                bucket = buckets.setdefault(key, [])
-                if any(nx.is_isomorphic(cand, other) for other in bucket):
-                    continue
-                bucket.append(cand)
-                yield g
+    layer = {(0,)}
+    for n in range(2, max_n + 1):
+        last, new = n == max_n, 1 << (n - 1)
+        grown = set()
+        for base in layer:
+            for nbhd in range(1, new):
+                masks = [m | new if nbhd >> v & 1 else m for v, m in enumerate(base)] + [nbhd]
+                if not last or _two_connected(n, _mask_edges(masks)):
+                    grown.add(_canonical_masks(masks))
+        for masks in sorted(grown):
+            edges = _mask_edges(masks)
+            if n >= 3 and (last or _two_connected(n, edges)):
+                yield Graph(n, edges)
+        layer = grown

@@ -42,6 +42,16 @@ def test_build_p5_k2(capsys, p5):
     assert cert["degrees"] == [2, 2, 2, 2, 2]
 
 
+def test_build_on_a_long_cycle(capsys, tmp_path):
+    # a 2-connected host inside the theorem's domain, built by the
+    # Hamilton search, which must not run out of stack
+    path = tmp_path / "c3000.el"
+    path.write_bytes(write_edgelist(cycle_graph(3000)))
+    code, out = run(capsys, "build", str(path), "--k", "3")
+    assert code == 0
+    assert json.loads(out)["certificate"]["degrees"] == [2] * 3000
+
+
 def test_square_roundtrip(capsys, p5):
     code, out = run(capsys, "square", p5)
     assert code == 0

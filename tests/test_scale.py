@@ -1,9 +1,9 @@
-"""Deep inputs: the tree decision, both builders and Kuhn's search must
-not recurse.
+"""Deep inputs: the tree decision, both builders, the Hamilton search
+and Kuhn's search must not recurse.
 
-The decisions and builds below run on trees with up to 10^5 vertices;
-the matching instance needs an augmenting path longer than the
-interpreter's recursion limit.
+The decisions and builds below run on trees with up to 10^5 vertices
+and on a 3000-vertex cycle; the matching instance needs an augmenting
+path longer than the interpreter's recursion limit.
 """
 
 import random
@@ -19,7 +19,7 @@ from helpers import (
     random_caterpillar,
 )
 from trestles.general_trestle import build_general_trestle
-from trestles.graphs import Tree
+from trestles.graphs import Tree, cycle_graph
 from trestles.matching_flow import max_bipartite_matching
 from trestles.patterns import tree_profile
 from trestles.tree_trestle import build_tree_trestle, decide_tree_trestle
@@ -131,6 +131,19 @@ def test_spine_10000_comb_general_build():
     matched = matching.covered()
     degrees = cert.degrees()
     assert all(degrees[v] == 2 for v in range(comb.n) if v not in matched)
+
+
+def test_long_cycle_builds_through_the_hamilton_search():
+    # C_3000 is 2-connected, so the builder hands it to the Hamilton
+    # search on its square, whose path grows one vertex per search node
+    n = 3000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 100)
+    try:
+        cert = build_general_trestle(cycle_graph(n), [])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(cert.edge_list) == sorted(cycle_graph(n).edges())
 
 
 def _kuhn_recursive(left, adjacency):
