@@ -1,9 +1,10 @@
 """Command-line surface for batch use.
 
 Exit codes: 0 success or feasible, 1 infeasible / obstruction found (a
-verdict, with the witness on stdout), 2 usage error, 3 internal
-invariant violation, 4 search budget exhausted (no verdict).  Identical
-invocations produce byte-identical output.
+verdict, with the witness on stdout), 2 usage error, 3 internal fault
+(an invariant violation, or any other unexpected exception, reported
+on stderr with its traceback), 4 search budget exhausted (no verdict).
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -74,14 +75,12 @@ def _cmd_centres(args) -> int:
 def _cmd_decide(args) -> int:
     g = _read_input(args.input, args.format)
     t = as_tree(g)
-    profile = tree_profile(t)
-    worst = max(profile.n(v) for v in range(t.n))
-    if worst > args.k:
-        _emit({"feasible": False, "reason": f"n(v)={worst} > k"})
-        return 1
     assignment = decide_tree_trestle(t, args.k)
     if assignment is None:
-        _emit({"feasible": False, "reason": "no feasible arc assignment"})
+        profile = tree_profile(t)
+        worst = max(profile.n(v) for v in range(t.n))
+        reason = f"n(v)={worst} > k" if worst > args.k else "no feasible arc assignment"
+        _emit({"feasible": False, "reason": reason})
         return 1
     _emit({"feasible": True, "assignment": assignment.to_jsonable()})
     return 0
@@ -286,6 +285,12 @@ def main(argv=None) -> int:
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        import traceback  # only this path uses it: kept off the import path
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 3
 
 

@@ -178,22 +178,9 @@ def check_obstruction(t: Tree) -> ObstructionWitness | None:
     return witness
 
 
-def _is_spider_free_tree(profile) -> bool:
-    return all(c <= 3 for c in profile.non_leaf_neighbours)
-
-
-def _infeasible(t: Tree) -> bool:
-    return feasible_assignment(t, 3) is None
-
-
-def _remove_branch(t: Tree, pivot: int, branch: list[int]) -> tuple[Tree, int]:
-    """Tree minus a pendant branch; returns the relabelled tree and pivot."""
-    keep = sorted(set(range(t.n)) - set(branch))
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v]) for u, v in t.edges() if u in index and v in index
-    ]
-    return Tree(len(keep), edges), index[pivot]
+def _is_obstruction(t: Tree, profile) -> bool:
+    """S(K_{1,4})-free, and square(t) has no 3-trestle."""
+    return all(c <= 3 for c in profile.non_leaf_neighbours) and feasible_assignment(t, 3) is None
 
 
 def compose(
@@ -226,11 +213,28 @@ def _pendant_branches(t: Tree, pivot: int, size: int, forbidden: set[int]):
             yield sorted(comp)
 
 
-def derive_base_patterns(
-    max_n: int = 16,
-    confirm_budget: SearchBudget | None = None,
-    max_attachment: int = 13,
-) -> BasePatterns:
+def _grow(
+    member: FFamilyMember, s: int, branch: list[int], pattern: AttachmentPattern
+) -> tuple[FFamilyMember, dict[int, int]]:
+    """Remove the pendant ``branch`` at the special vertex s, renumber
+    the rest in order and identify s with the pattern's v; w joins the
+    specials.  Returns the grown member and the map from pattern
+    vertices to its ids.
+    """
+    t, gone = member.tree, set(branch)
+    index = {v: i for i, v in enumerate(v for v in range(t.n) if v not in gone)}
+    edges = [(index[u], index[v]) for u, v in t.edges() if u in index and v in index]
+    reduced = Tree(len(index), edges)
+    tree, ident, w_id, amap = compose(reduced, index[s], pattern)
+    special = {index[x] for x in member.special} | {ident, w_id}
+    return FFamilyMember(tree, tuple(sorted(special))), amap
+
+
+# Largest attachment pattern the derivation tries; A has 13 vertices.
+_MAX_ATTACHMENT = 13
+
+
+def derive_base_patterns(max_n: int = 16, confirm_budget: SearchBudget | None = None) -> BasePatterns:
     """Re-derive the base obstruction tree and the attachment pattern.
 
     T_0 is found by exhaustive enumeration of S(K_{1,4})-free trees in
@@ -243,10 +247,7 @@ def derive_base_patterns(
     found_n = None
     for n in range(3, max_n + 1):
         for t in enumerate_trees(n):
-            profile = tree_profile(t)
-            if not _is_spider_free_tree(profile):
-                continue
-            if _infeasible(t):
+            if _is_obstruction(t, tree_profile(t)):
                 hits.append(t)
         if hits:
             found_n = n
@@ -278,40 +279,47 @@ def derive_base_patterns(
             )
         confirmed = True
 
-    attachment = _derive_attachment(t0_member, max_attachment)
+    attachment = _derive_attachment(t0_member)
     return BasePatterns(t0_member, attachment, confirmed)
 
 
-def _derive_attachment(t0: FFamilyMember, max_attachment: int) -> AttachmentPattern:
-    specials = set(t0.special)
-    pivot = min(t0.special)
-    branches = list(_pendant_branches(t0.tree, pivot, 5, specials))
-    if not branches:
-        raise InternalInvariantError("base obstruction has no removable 5-vertex branch")
-    reduced, r_pivot = _remove_branch(t0.tree, pivot, branches[0])
-    kept_specials = {r_pivot}
+def _derive_attachment(t0: FFamilyMember) -> AttachmentPattern:
+    """The first (A, v, w), by |A|, then A, leaf v, then w, whose
+    composition with T_0 has the grown specials (T_0's kept specials
+    and the identified vertex) plus w as its minimal Hall violator.
 
-    for m in range(3, max_attachment + 1):
+    ``compose`` never reads w, so the tree, its verdict and its
+    violator depend on (A, v) alone: each (A, v) is composed once, with
+    w = v standing in.  The map amap from A's vertices is injective and
+    sends only v into the grown specials, so at most one w != v can
+    match, the violator's one vertex outside them, read back through
+    amap.  The first match in (A, v, w) order is thus the first (A, v)
+    that has one.
+    """
+    pivot = min(t0.special)
+    branch = next(_pendant_branches(t0.tree, pivot, 5, set(t0.special)), None)
+    if branch is None:
+        raise InternalInvariantError("base obstruction has no removable 5-vertex branch")
+
+    for m in range(3, _MAX_ATTACHMENT + 1):
         for a in enumerate_trees(m):
-            leaves = [v for v in range(a.n) if a.degree(v) == 1]
-            for v in leaves:
-                for w in range(a.n):
-                    if w == v:
-                        continue
-                    pattern = AttachmentPattern(a, v, w)
-                    composed, ident, w_id, _ = compose(reduced, r_pivot, pattern)
-                    profile = tree_profile(composed)
-                    if not _is_spider_free_tree(profile):
-                        continue
-                    if not _infeasible(composed):
-                        continue
-                    violator = minimal_hall_violator(composed, profile.red_set())
-                    if violator is None:
-                        continue
-                    if violator.red_set == kept_specials | {ident, w_id}:
-                        return pattern
+            for v in range(a.n):
+                if a.degree(v) != 1:
+                    continue
+                grown, amap = _grow(t0, pivot, branch, AttachmentPattern(a, v, v))
+                profile = tree_profile(grown.tree)
+                if not _is_obstruction(grown.tree, profile):
+                    continue
+                violator = minimal_hall_violator(grown.tree, profile.red_set())
+                specials = set(grown.special)
+                if violator is None or not specials < violator.red_set:
+                    continue
+                x, *more = violator.red_set - specials
+                inverse = {new: old for old, new in amap.items()}
+                if not more and x in inverse:
+                    return AttachmentPattern(a, v, inverse[x])
     raise DomainError(
-        f"undetermined: no attachment pattern with at most {max_attachment} vertices"
+        f"undetermined: no attachment pattern with at most {_MAX_ATTACHMENT} vertices"
     )
 
 
@@ -326,8 +334,7 @@ def f_family(max_n: int, base: BasePatterns | None = None) -> list[FFamilyMember
         base = derive_base_patterns()
     if base.t0.tree.n > max_n:
         return []
-    members = [base.t0]
-    seen = {write_graph6(tree_canonical_form(base.t0.tree))}
+    seen = {write_graph6(tree_canonical_form(base.t0.tree)): base.t0}
     frontier = [base.t0]
     grow = base.attachment.tree.n - 1 - 5
     while frontier:
@@ -338,26 +345,15 @@ def f_family(max_n: int, base: BasePatterns | None = None) -> list[FFamilyMember
             for s in member.special:
                 forbidden = set(member.special)
                 for branch in _pendant_branches(member.tree, s, 5, forbidden):
-                    reduced, r_pivot = _remove_branch(member.tree, s, branch)
-                    keep = sorted(set(range(member.tree.n)) - set(branch))
-                    index = {v: i for i, v in enumerate(keep)}
-                    new_specials = {index[x] for x in member.special}
-                    composed, ident, w_id, _ = compose(
-                        reduced, r_pivot, base.attachment
-                    )
-                    special = tuple(sorted(new_specials | {ident, w_id}))
-                    profile = tree_profile(composed)
-                    if not _is_spider_free_tree(profile) or not _infeasible(composed):
+                    grown, _ = _grow(member, s, branch, base.attachment)
+                    if not _is_obstruction(grown.tree, tree_profile(grown.tree)):
                         raise InternalInvariantError(
                             "composition produced a non-obstruction"
                         )
-                    key = write_graph6(tree_canonical_form(composed))
+                    key = write_graph6(tree_canonical_form(grown.tree))
                     if key in seen:
                         continue
-                    seen.add(key)
-                    candidate = FFamilyMember(composed, special)
-                    nxt.append(candidate)
-        members.extend(nxt)
+                    seen[key] = grown
+                    nxt.append(grown)
         frontier = nxt
-    members.sort(key=lambda m: (m.tree.n, write_graph6(tree_canonical_form(m.tree))))
-    return members
+    return [seen[key] for key in sorted(seen, key=lambda key: (seen[key].tree.n, key))]

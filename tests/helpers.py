@@ -218,25 +218,15 @@ def f_family_chain(base, attachments: int):
     """T_0 with ``attachments`` copies of the attachment pattern A
     chained on, each one at the special vertex the previous one made.
 
-    Every step removes a pendant 5-vertex branch at the newest special
-    and identifies that vertex with v of A, as ``f_family`` does, so
-    the chain has attachments + 1 specials and
+    Every step is ``f_family``'s own attach step at the newest special,
+    so the chain has attachments + 1 specials and
     16 + attachments * (|A| - 6) vertices.
     """
-    from trestles.obstruction import (
-        FFamilyMember,
-        _pendant_branches,
-        _remove_branch,
-        compose,
-    )
+    from trestles.obstruction import _grow, _pendant_branches
 
-    tree, specials = base.t0.tree, set(base.t0.special)
-    newest = min(specials)
+    member, newest = base.t0, min(base.t0.special)
     for _ in range(attachments):
-        branch = next(_pendant_branches(tree, newest, 5, specials))
-        reduced, pivot = _remove_branch(tree, newest, branch)
-        kept = sorted(set(range(tree.n)) - set(branch))
-        index = {v: i for i, v in enumerate(kept)}
-        tree, ident, newest, _ = compose(reduced, pivot, base.attachment)
-        specials = {index[x] for x in specials} | {ident, newest}
-    return FFamilyMember(tree, tuple(sorted(specials)))
+        branch = next(_pendant_branches(member.tree, newest, 5, set(member.special)))
+        member, amap = _grow(member, newest, branch, base.attachment)
+        newest = amap[base.attachment.w]
+    return member

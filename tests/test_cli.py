@@ -1,10 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
-from trestles import cli, general_trestle, oracle
+from helpers import base_patterns
+
+from trestles import cli, general_trestle, obstruction, oracle
 from trestles.cli import main
-from trestles.graphs import cycle_graph, path_graph, spider, write_edgelist, write_graph6
+from trestles.graphs import Tree, cycle_graph, path_graph, spider, write_edgelist, write_graph6
 
 
 @pytest.fixture
@@ -140,7 +143,7 @@ def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, edges):
     assert captured.err.startswith("error: certificate 'edges' must be")
 
 
-def test_internal_key_error_is_not_a_usage_error(monkeypatch, tmp_path):
+def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch, tmp_path):
     # a KeyError from the builder's own bookkeeping is a fault, not bad input
     path = tmp_path / "c6.el"
     path.write_bytes(write_edgelist(cycle_graph(6)))
@@ -149,8 +152,38 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch, tmp_path):
         raise KeyError(7)
 
     monkeypatch.setattr(cli, "build_general_trestle", broken)
-    with pytest.raises(KeyError):
-        main(["build", str(path), "--k", "3"])
+    code = main(["build", str(path), "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: KeyError: 7\n")
+    assert "Traceback" in captured.err
+
+
+def test_recursion_error_is_an_internal_fault(capsys, monkeypatch, p5):
+    def too_deep(t, k):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "decide_tree_trestle", too_deep)
+    code = main(["decide", p5, "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RecursionError: maximum recursion depth")
+
+
+@pytest.mark.parametrize("command", ["decide", "build"])
+@pytest.mark.parametrize("k", ["1", "0"])
+def test_k_below_2_is_a_usage_error(capsys, tmp_path, p5, command, k):
+    # n(v) > k holds on the path and not on the star: neither gets a verdict
+    star = tmp_path / "star4.el"
+    star.write_bytes(write_edgelist(Tree(4, [(0, 1), (0, 2), (0, 3)])))
+    for host in (p5, str(star)):
+        code = main([command, host, "--k", k])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: trestle parameter k must be at least 2\n"
 
 
 def test_usage_error_on_missing_file(capsys):
@@ -180,6 +213,21 @@ def test_budget_exhaustion_has_its_own_exit_code(capsys, monkeypatch, tmp_path):
     assert code == 4
     assert captured.out == ""
     assert captured.err == "error: search budget exhausted\n"
+
+
+# SHA-256 of `trestles gen-family --max-n 40` stdout, taken from the
+# search that composed each (A, v) once per w
+GEN_FAMILY_DIGEST = "3bfcf7b7c27fde9803f4fdd346f375cab9b88ec5e53e9f4b3986eddf8acf50dc"
+
+
+def test_gen_family_output(capsys, monkeypatch):
+    # the run's cached patterns, so that the command does not derive them again
+    base = base_patterns()
+    monkeypatch.setattr(obstruction, "derive_base_patterns", lambda: base)
+    code, out = run(capsys, "gen-family", "--max-n", "40")
+    assert code == 0
+    assert len(json.loads(out)["members"]) == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_FAMILY_DIGEST
 
 
 def test_validate_small(capsys):

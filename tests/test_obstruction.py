@@ -6,6 +6,7 @@ import pytest
 
 from helpers import base_patterns, f_family_chain, random_bounded_tree
 
+from trestles import obstruction
 from trestles.graphs import DomainError, Tree, path_graph, spider, square
 from trestles.obstruction import check_obstruction, compose, f_family
 from trestles.oracle import SearchBudget, brute_force_trestle, enumerate_trees, NONE
@@ -161,3 +162,53 @@ def test_long_family_chain_gets_its_specials():
     w = check_obstruction(chain.tree)
     assert w is not None and w.kind == "hall"
     assert w.special == chain.special
+
+
+# SHA-256 of derive_base_patterns(16) (T_0 with its specials, A with v
+# and w, t0_confirmed) and of every f_family(40) member in order, both
+# taken from the search that composed each (A, v) once per w
+BASE_PATTERNS_DIGEST = "c89ce56bfb3e898a49f633145aa63edd5f330f9cb0f4623cb7a49125e836306f"
+FAMILY_DIGEST = "46774f5278a75530e0e04f5aec228762b21f15eacbc95ddc6994808494dc7275"
+
+
+def test_base_patterns_match_golden_digest():
+    base = base_patterns()
+    a = base.attachment
+    payload = {
+        "t0": base.t0.to_jsonable(),
+        "attachment": {
+            "n": a.tree.n,
+            "edges": [list(e) for e in a.tree.edges()],
+            "v": a.v,
+            "w": a.w,
+        },
+        "t0_confirmed": base.t0_confirmed,
+    }
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == (
+        BASE_PATTERNS_DIGEST
+    )
+
+
+def test_family_matches_golden_digest():
+    h = hashlib.sha256()
+    for m in f_family(40, base_patterns()):
+        h.update(json.dumps(m.to_jsonable(), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == FAMILY_DIGEST
+
+
+def test_attachment_search_composes_each_a_v_once(monkeypatch):
+    base = base_patterns()
+    composed = []
+
+    def counting(reduced, special, pattern):
+        composed.append((pattern.tree.edges(), pattern.v))
+        return compose(reduced, special, pattern)
+
+    monkeypatch.setattr(obstruction, "compose", counting)
+    found = obstruction._derive_attachment(base.t0)
+    assert len(composed) == len(set(composed))
+    assert (found.tree.edges(), found.v, found.w) == (
+        base.attachment.tree.edges(),
+        base.attachment.v,
+        base.attachment.w,
+    )
