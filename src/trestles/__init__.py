@@ -29,6 +29,7 @@ from .matching_flow import (
 from .obstruction import (
     FFamilyMember,
     ObstructionWitness,
+    Undetermined,
     check_obstruction,
     derive_base_patterns,
     f_family,
@@ -56,6 +57,7 @@ __all__ = [
     "SpiderEmbedding",
     "TrestleCertificate",
     "Tree",
+    "Undetermined",
     "VerificationReport",
     "build_general_trestle",
     "build_tree_trestle",

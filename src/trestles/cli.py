@@ -3,7 +3,9 @@
 Exit codes: 0 success or feasible, 1 infeasible / obstruction found (a
 verdict, with the witness on stdout), 2 usage error, 3 internal fault
 (an invariant violation, or any other unexpected exception, reported
-on stderr with its traceback), 4 search budget exhausted (no verdict).
+on stderr with its traceback), 4 no verdict (a search budget
+exhausted, or a ``derive-patterns`` search undetermined within its
+``--max-n``).
 Identical invocations produce byte-identical output.
 """
 
@@ -29,7 +31,7 @@ from .graphs import (
     read_graph6,
 )
 from .matching_flow import theorem1_matching
-from .obstruction import check_obstruction, derive_base_patterns, f_family
+from .obstruction import Undetermined, check_obstruction, derive_base_patterns, f_family
 from .oracle import FOUND, SearchBudget, SearchBudgetExhausted, brute_force_trestle, enumerate_trees
 from .patterns import centres, tree_profile
 from .tree_trestle import build_tree_trestle, decide_tree_trestle
@@ -279,6 +281,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SearchBudgetExhausted:
         print("error: search budget exhausted", file=sys.stderr)
+        return 4
+    except Undetermined as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 4
     except (DomainError, FormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -99,13 +99,25 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self._edges)})"
 
 
+def _require_tree(g: Graph) -> None:
+    if g.num_edges() != g.n - 1 or not is_connected(g):
+        raise DomainError("not a tree: need connectivity and exactly n-1 edges")
+
+
 class Tree(Graph):
-    """A connected acyclic :class:`Graph`."""
+    """A connected acyclic :class:`Graph`.
+
+    ``_profile`` holds the tree's ``patterns.TreeProfile``, which
+    ``patterns.tree_profile`` counts on first use; a tree never changes,
+    so its profile never goes stale.
+    """
+
+    __slots__ = ("_profile",)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         super().__init__(n, edges)
-        if self.num_edges() != n - 1 or not is_connected(self):
-            raise DomainError("not a tree: need connectivity and exactly n-1 edges")
+        _require_tree(self)
+        self._profile = None
 
 
 class Digraph:
@@ -377,7 +389,12 @@ def write_graph(g: Graph, fmt: str) -> bytes:
 
 
 def as_tree(g: Graph) -> Tree:
-    return Tree(g.n, g.edges())
+    """``g`` as a :class:`Tree` sharing its edges and adjacency, which
+    are normalised already; DomainError if ``g`` is not a tree."""
+    _require_tree(g)
+    t = object.__new__(Tree)
+    t.n, t.adj, t._edges, t._profile = g.n, g.adj, g._edges, None
+    return t
 
 
 def path_graph(n: int) -> Graph:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import DomainError, Graph, InternalInvariantError, Tree
-from .patterns import TreeProfile, tree_profile
+from .patterns import tree_profile
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,20 @@ class HallViolator:
 
 @dataclass
 class ArcAssignment:
-    """Non-negative integers on the arcs of a tree's symmetric orientation."""
+    """Non-negative integers on the arcs of a tree's symmetric orientation.
+
+    ``values`` holds the non-zero values, on tree arcs only:
+    ``set_value`` keeps it so, and values given to the constructor pass
+    through it.
+    """
 
     tree: Tree
     values: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        given, self.values = self.values, {}
+        for (u, v), a in given.items():
+            self.set_value(u, v, a)
 
     def set_value(self, u: int, v: int, a: int) -> None:
         if not self.tree.has_edge(u, v):
@@ -78,26 +88,34 @@ class ArcAssignment:
     def out_sum(self, v: int) -> int:
         return sum(self.values.get((v, u), 0) for u in self.tree.adj[v])
 
-    def satisfies_demands(self, k: int, profile: TreeProfile | None = None) -> bool:
-        """The exact in-demand / out-cap system for parameter ``k``;
-        ``profile``, if given, must be the tree's own."""
-        if profile is None:
-            profile = tree_profile(self.tree)
-        for v in range(self.tree.n):
-            nv = profile.n(v)
-            if nv > k:
-                return False
-            if self.in_sum(v) != max(0, nv - 2):
-                return False
-            if self.out_sum(v) > k - nv:
-                return False
-        return True
+    def arc_sums(self) -> tuple[list[int], list[int]]:
+        """Every vertex's in-sum and out-sum, from one pass over ``values``."""
+        ins = [0] * self.tree.n
+        outs = [0] * self.tree.n
+        for (u, v), a in self.values.items():
+            outs[u] += a
+            ins[v] += a
+        return ins, outs
+
+    def satisfies_demands(self, k: int) -> bool:
+        """The exact in-demand / out-cap system for parameter ``k``."""
+        return demands_met(k, tree_profile(self.tree).non_leaf_neighbours, *self.arc_sums())
 
     def to_jsonable(self) -> dict[str, int]:
         return {
             f"{u}->{v}": a
             for (u, v), a in sorted(self.values.items())
         }
+
+
+def demands_met(k: int, counts, ins: list[int], outs: list[int]) -> bool:
+    """Whether every vertex v, with n(v) = ``counts[v]``, in-sum
+    ``ins[v]`` and out-sum ``outs[v]``, has n(v) <= k, takes in exactly
+    max{0, n(v) - 2} and sends out at most k - n(v)."""
+    for nv, i, o in zip(counts, ins, outs):
+        if nv > k or i != (nv - 2 if nv > 2 else 0) or o > k - nv:
+            return False
+    return True
 
 
 def _augment(adjacency: dict[int, list[int]], free: int, match_of: dict[int, int]) -> bool:
@@ -243,11 +261,11 @@ def feasible_assignment(t: Tree, k: int) -> ArcAssignment | None:
         raise DomainError("trestle parameter k must be at least 2")
     if t.n < 3:
         raise DomainError("trees on fewer than 3 vertices are out of domain")
-    profile = tree_profile(t)
-    if any(profile.n(v) > k for v in range(t.n)):
+    counts = tree_profile(t).non_leaf_neighbours
+    if max(counts) > k:
         return None
-    need = [max(0, profile.n(v) - 2) for v in range(t.n)]
-    spare = [k - profile.n(v) for v in range(t.n)]
+    need = [max(0, c - 2) for c in counts]
+    spare = [k - c for c in counts]
     parent = [-1] * t.n
     parent[0] = 0
     order = [0]
@@ -270,7 +288,7 @@ def feasible_assignment(t: Tree, k: int) -> ArcAssignment | None:
             spare[p] -= need[c]
     if spare[0] < 0 or need[0] > 0:
         return None
-    if not result.satisfies_demands(k, profile):
+    if not result.satisfies_demands(k):
         raise InternalInvariantError("leaf-to-root pass violates the demand system")
     return result
 

@@ -33,6 +33,10 @@ from .oracle import (
 from .patterns import centre_witness, tree_profile
 
 
+class Undetermined(DomainError):
+    """An exhaustive search found no verdict within the range it was given."""
+
+
 @dataclass(frozen=True)
 class ObstructionWitness:
     """Subtree certifying that the host tree square has no 3-trestle.
@@ -178,9 +182,9 @@ def check_obstruction(t: Tree) -> ObstructionWitness | None:
     return witness
 
 
-def _is_obstruction(t: Tree, profile) -> bool:
+def _is_obstruction(t: Tree) -> bool:
     """S(K_{1,4})-free, and square(t) has no 3-trestle."""
-    return all(c <= 3 for c in profile.non_leaf_neighbours) and feasible_assignment(t, 3) is None
+    return max(tree_profile(t).non_leaf_neighbours) <= 3 and feasible_assignment(t, 3) is None
 
 
 def compose(
@@ -245,15 +249,18 @@ def derive_base_patterns(max_n: int = 16, confirm_budget: SearchBudget | None = 
     """
     hits: list[Tree] = []
     found_n = None
+    # the scan's trees small enough to be A, for the attachment search
+    small: dict[int, list[Tree]] = {}
     for n in range(3, max_n + 1):
-        for t in enumerate_trees(n):
-            if _is_obstruction(t, tree_profile(t)):
-                hits.append(t)
+        trees = enumerate_trees(n)
+        if n <= _MAX_ATTACHMENT:
+            trees = small[n] = list(trees)
+        hits = [t for t in trees if _is_obstruction(t)]
         if hits:
             found_n = n
             break
     if found_n is None:
-        raise DomainError(
+        raise Undetermined(
             f"undetermined: no S(K_1,4)-free obstruction tree with at most {max_n} vertices"
         )
     if len(hits) != 1:
@@ -279,14 +286,16 @@ def derive_base_patterns(max_n: int = 16, confirm_budget: SearchBudget | None = 
             )
         confirmed = True
 
-    attachment = _derive_attachment(t0_member)
+    attachment = _derive_attachment(t0_member, small)
     return BasePatterns(t0_member, attachment, confirmed)
 
 
-def _derive_attachment(t0: FFamilyMember) -> AttachmentPattern:
+def _derive_attachment(t0: FFamilyMember, small: dict[int, list[Tree]]) -> AttachmentPattern:
     """The first (A, v, w), by |A|, then A, leaf v, then w, whose
     composition with T_0 has the grown specials (T_0's kept specials
     and the identified vertex) plus w as its minimal Hall violator.
+    ``small[m]`` lists the free trees on m vertices in ``enumerate_trees``
+    order; a size it lacks is enumerated here.
 
     ``compose`` never reads w, so the tree, its verdict and its
     violator depend on (A, v) alone: each (A, v) is composed once, with
@@ -302,15 +311,14 @@ def _derive_attachment(t0: FFamilyMember) -> AttachmentPattern:
         raise InternalInvariantError("base obstruction has no removable 5-vertex branch")
 
     for m in range(3, _MAX_ATTACHMENT + 1):
-        for a in enumerate_trees(m):
+        for a in small.get(m) or enumerate_trees(m):
             for v in range(a.n):
                 if a.degree(v) != 1:
                     continue
                 grown, amap = _grow(t0, pivot, branch, AttachmentPattern(a, v, v))
-                profile = tree_profile(grown.tree)
-                if not _is_obstruction(grown.tree, profile):
+                if not _is_obstruction(grown.tree):
                     continue
-                violator = minimal_hall_violator(grown.tree, profile.red_set())
+                violator = minimal_hall_violator(grown.tree, tree_profile(grown.tree).red_set())
                 specials = set(grown.special)
                 if violator is None or not specials < violator.red_set:
                     continue
@@ -318,7 +326,7 @@ def _derive_attachment(t0: FFamilyMember) -> AttachmentPattern:
                 inverse = {new: old for old, new in amap.items()}
                 if not more and x in inverse:
                     return AttachmentPattern(a, v, inverse[x])
-    raise DomainError(
+    raise Undetermined(
         f"undetermined: no attachment pattern with at most {_MAX_ATTACHMENT} vertices"
     )
 
@@ -346,7 +354,7 @@ def f_family(max_n: int, base: BasePatterns | None = None) -> list[FFamilyMember
                 forbidden = set(member.special)
                 for branch in _pendant_branches(member.tree, s, 5, forbidden):
                     grown, _ = _grow(member, s, branch, base.attachment)
-                    if not _is_obstruction(grown.tree, tree_profile(grown.tree)):
+                    if not _is_obstruction(grown.tree):
                         raise InternalInvariantError(
                             "composition produced a non-obstruction"
                         )

@@ -136,14 +136,29 @@ def is_spider_free(g: Graph, k: int) -> bool:
     return not centres(g, k)
 
 
-def tree_profile(t: Tree) -> TreeProfile:
-    if t.n < 2:
+def _count_profile(g: Graph) -> TreeProfile:
+    if g.n < 2:
         raise DomainError("tree profiles need n >= 2")
-    is_leaf = [t.degree(v) <= 1 for v in range(t.n)]
-    counts = tuple(
-        sum(1 for w in t.adj[v] if not is_leaf[w]) for v in range(t.n)
-    )
-    return TreeProfile(counts)
+    # a vertex's degree, less one for each leaf hanging off it
+    counts = [len(nbrs) for nbrs in g.adj]
+    for nbrs in g.adj:
+        if len(nbrs) == 1:
+            counts[nbrs[0]] -= 1
+    return TreeProfile(tuple(counts))
+
+
+def tree_profile(t: Graph) -> TreeProfile:
+    """n(v) for every vertex of ``t``.
+
+    A :class:`Tree` is counted once and keeps its profile, so every
+    decision, build and witness on one tree shares it; a plain
+    :class:`Graph` is counted afresh on each call.
+    """
+    if not isinstance(t, Tree):
+        return _count_profile(t)
+    if t._profile is None:
+        t._profile = _count_profile(t)
+    return t._profile
 
 
 def is_caterpillar(t: Tree) -> bool:

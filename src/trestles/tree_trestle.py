@@ -26,7 +26,7 @@ which adds up to the degree law.  The Harary–Schwenk cycle of a path is
 from __future__ import annotations
 
 from .graphs import DomainError, InternalInvariantError, Tree
-from .matching_flow import ArcAssignment, feasible_assignment
+from .matching_flow import ArcAssignment, demands_met, feasible_assignment
 from .patterns import tree_profile
 from .verify import TrestleCertificate, verify_trestle
 
@@ -170,13 +170,12 @@ def build_tree_trestle(t: Tree, k: int, a: ArcAssignment) -> TrestleCertificate:
         raise DomainError("need k >= 2 and n >= 3")
     if a.tree is not t and a.tree != t:
         raise DomainError("assignment belongs to a different tree")
-    profile = tree_profile(t)
-    if not a.satisfies_demands(k, profile):
+    counts = tree_profile(t).non_leaf_neighbours
+    ins, outs = a.arc_sums()
+    if not demands_met(k, counts, ins, outs):
         raise DomainError("assignment does not satisfy the demand system")
-    expected = [
-        a.out_sum(v) + max(2, profile.n(v)) for v in range(t.n)
-    ]
-    edges = _build_edges(t, a, [profile.n(v) >= 3 for v in range(t.n)])
+    expected = [o + max(2, c) for o, c in zip(outs, counts)]
+    edges = _build_edges(t, a, [c >= 3 for c in counts])
     cert = TrestleCertificate.of(t, edges, k, expected_degrees=expected)
     report = verify_trestle(cert)
     if not report.passed():

@@ -104,7 +104,6 @@ def _biconnected(n: int, edges) -> tuple[bool, str]:
     # recursive-free lowpoint DFS from vertex 0
     disc = [-1] * n
     low = [0] * n
-    timer = 0
     stack = [(0, -1, 0)]
     disc[0] = low[0] = 0
     timer = 1
@@ -122,11 +121,12 @@ def _biconnected(n: int, edges) -> tuple[bool, str]:
                 timer += 1
                 visited += 1
                 stack.append((w, v, 0))
-            elif w != parent:
-                low[v] = min(low[v], disc[w])
+            elif w != parent and disc[w] < low[v]:
+                low[v] = disc[w]
         else:
             if parent != -1:
-                low[parent] = min(low[parent], low[v])
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
                 if parent != 0 and low[v] >= disc[parent]:
                     return False, f"cutvertex {parent}"
     if visited != n:

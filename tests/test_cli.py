@@ -215,6 +215,17 @@ def test_budget_exhaustion_has_its_own_exit_code(capsys, monkeypatch, tmp_path):
     assert captured.err == "error: search budget exhausted\n"
 
 
+def test_undetermined_derivation_is_no_verdict(capsys):
+    # valid arguments, but T_0 has 16 vertices: no verdict, not a usage error
+    code = main(["derive-patterns", "--max-n", "6"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == (
+        "error: undetermined: no S(K_1,4)-free obstruction tree with at most 6 vertices\n"
+    )
+
+
 # SHA-256 of `trestles gen-family --max-n 40` stdout, taken from the
 # search that composed each (A, v) once per w
 GEN_FAMILY_DIGEST = "3bfcf7b7c27fde9803f4fdd346f375cab9b88ec5e53e9f4b3986eddf8acf50dc"

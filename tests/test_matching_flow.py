@@ -168,6 +168,12 @@ def test_assignment_values_validation():
     a.set_value(0, 1, 2)
     a.set_value(0, 1, 0)
     assert a.values == {}
+    # values given to the constructor pass the same checks
+    with pytest.raises(DomainError):
+        ArcAssignment(t, {(0, 2): 1})
+    with pytest.raises(DomainError):
+        ArcAssignment(t, {(0, 1): -1})
+    assert ArcAssignment(t, {(0, 1): 0, (2, 1): 3}).values == {(2, 1): 3}
 
 
 def test_domain_guards():

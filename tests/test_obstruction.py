@@ -205,7 +205,7 @@ def test_attachment_search_composes_each_a_v_once(monkeypatch):
         return compose(reduced, special, pattern)
 
     monkeypatch.setattr(obstruction, "compose", counting)
-    found = obstruction._derive_attachment(base.t0)
+    found = obstruction._derive_attachment(base.t0, {})
     assert len(composed) == len(set(composed))
     assert (found.tree.edges(), found.v, found.w) == (
         base.attachment.tree.edges(),

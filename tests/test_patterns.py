@@ -49,6 +49,17 @@ def test_tree_profile_counts():
     assert p.red_set() == {0}
 
 
+def test_tree_profile_is_counted_once_per_tree():
+    t = Tree(7, [(0, 1), (0, 3), (0, 5), (1, 2), (3, 4), (5, 6)])
+    p = tree_profile(t)
+    assert tree_profile(t) is p
+    assert p == tree_profile(Graph(t.n, t.edges()))
+    # a plain Graph keeps nothing, so it is counted on every call
+    g = path_graph(5)
+    assert tree_profile(g) is not tree_profile(g)
+    assert tree_profile(g).non_leaf_neighbours == (1, 1, 2, 1, 1)
+
+
 def test_tree_centres_match_general_search():
     trees = [
         spider(3),

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from helpers import random_bounded_tree, random_caterpillar
-from trestles import general_trestle, tree_trestle
+from trestles import general_trestle, patterns, tree_trestle
 from trestles.general_trestle import path_square_cycle
 from trestles.graphs import DomainError, Tree, path_graph, spider
+from trestles.obstruction import check_obstruction
 from trestles.matching_flow import ArcAssignment, assignment_from_trestle
 from trestles.oracle import enumerate_trees
 from trestles.patterns import is_caterpillar, tree_profile
@@ -171,3 +172,23 @@ def test_one_verification_and_no_general_build(monkeypatch):
         calls.clear()
         cert = build_tree_trestle(t, k, decide_tree_trestle(t, k))
         assert calls == [cert]
+
+
+def test_one_profile_count_per_tree(monkeypatch):
+    counted = []
+
+    def counting(g):
+        counted.append(g)
+        return count(g)
+
+    count = patterns._count_profile
+    monkeypatch.setattr(patterns, "_count_profile", counting)
+    rng = random.Random(6)
+    for t in (spider(3), random_bounded_tree(rng, 60, maxdeg=3), random_caterpillar(rng, 30)):
+        counted.clear()
+        for k in (2, 3, 4):
+            a = decide_tree_trestle(t, k)
+            if a is not None:
+                build_tree_trestle(t, k, a)
+        check_obstruction(t)
+        assert counted == [t]

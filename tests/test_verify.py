@@ -1,4 +1,8 @@
-from trestles.graphs import Graph, path_graph, spider
+import hashlib
+import json
+import random
+
+from trestles.graphs import Graph, complete_graph, path_graph, spider
 from trestles.verify import TrestleCertificate, verify_trestle
 
 
@@ -111,3 +115,41 @@ def test_out_of_range_edges_fail_without_raising():
         assert report.failed_checks() == ["edges_in_square"]
         detail = [c for c in report.checks if c.check == "edges_in_square"][0].detail
         assert str(tuple(sorted(stray))) in detail
+
+
+def _broken_certificates():
+    """Certificates on complete hosts, so that only the spanning,
+    biconnectivity and degree checks can fail: fewer than 3 vertices,
+    two cycles sharing a vertex, two disjoint cycles, a path, then
+    seeded random edge sets."""
+    shapes = [
+        (1, []),
+        (2, [(0, 1)]),
+        (7, _cycle(4) + [(3, 4), (4, 5), (5, 6), (6, 3)]),
+        (7, _cycle(3) + [(3, 4), (4, 5), (5, 6), (6, 3)]),
+        (6, [(i, i + 1) for i in range(5)]),
+    ]
+    rng = random.Random(9)
+    for _ in range(600):
+        n = rng.randint(3, 12)
+        p = rng.choice((0.15, 0.3, 0.5))
+        shapes.append((n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]))
+    return [TrestleCertificate.of(complete_graph(n), edges, 3) for n, edges in shapes]
+
+
+# SHA-256 of the reports below, taken before the lowpoint DFS in the
+# verifier lost its min() calls
+BROKEN_REPORTS_DIGEST = "f1e21e6f694eebd1c7133e931280e2f24c46243bbf455bb9ac2e062481eba59a"
+
+
+def test_broken_certificate_reports_are_pinned():
+    reports = [verify_trestle(cert).to_jsonable() for cert in _broken_certificates()]
+    why = {
+        row["detail"].split(" ")[0]
+        for report in reports
+        for row in report
+        if row["check"] == "two_connected"
+    }
+    assert {"fewer", "cutvertex", "not"} <= why
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == BROKEN_REPORTS_DIGEST
