@@ -119,6 +119,18 @@ class Tree(Graph):
         _require_tree(self)
         self._profile = None
 
+    @classmethod
+    def _from_graph(cls, g: Graph) -> "Tree":
+        """``g`` as a tree that shares every :class:`Graph` slot (the
+        normalised edges and sorted adjacency) instead of rebuilding
+        them; DomainError if ``g`` is not a tree."""
+        _require_tree(g)
+        t = object.__new__(cls)
+        for name in Graph.__slots__:
+            setattr(t, name, getattr(g, name))
+        t._profile = None
+        return t
+
 
 class Digraph:
     """Simple digraph; antiparallel arc pairs are allowed."""
@@ -389,12 +401,9 @@ def write_graph(g: Graph, fmt: str) -> bytes:
 
 
 def as_tree(g: Graph) -> Tree:
-    """``g`` as a :class:`Tree` sharing its edges and adjacency, which
-    are normalised already; DomainError if ``g`` is not a tree."""
-    _require_tree(g)
-    t = object.__new__(Tree)
-    t.n, t.adj, t._edges, t._profile = g.n, g.adj, g._edges, None
-    return t
+    """``g`` itself if it is a :class:`Tree`, else a tree sharing its
+    edges and adjacency; DomainError if ``g`` is not a tree."""
+    return g if isinstance(g, Tree) else Tree._from_graph(g)
 
 
 def path_graph(n: int) -> Graph:

@@ -295,7 +295,7 @@ def _derive_attachment(t0: FFamilyMember, small: dict[int, list[Tree]]) -> Attac
     composition with T_0 has the grown specials (T_0's kept specials
     and the identified vertex) plus w as its minimal Hall violator.
     ``small[m]`` lists the free trees on m vertices in ``enumerate_trees``
-    order; a size it lacks is enumerated here.
+    order, for every m from 3 to ``_MAX_ATTACHMENT``.
 
     ``compose`` never reads w, so the tree, its verdict and its
     violator depend on (A, v) alone: each (A, v) is composed once, with
@@ -311,7 +311,7 @@ def _derive_attachment(t0: FFamilyMember, small: dict[int, list[Tree]]) -> Attac
         raise InternalInvariantError("base obstruction has no removable 5-vertex branch")
 
     for m in range(3, _MAX_ATTACHMENT + 1):
-        for a in small.get(m) or enumerate_trees(m):
+        for a in small[m]:
             for v in range(a.n):
                 if a.degree(v) != 1:
                     continue

@@ -98,6 +98,13 @@ def test_as_tree_rejects_non_tree():
     assert isinstance(as_tree(Graph(3, [(0, 1), (1, 2)])), Tree)
 
 
+def test_as_tree_shares_the_graph():
+    g = Graph(4, [(2, 1), (0, 1), (1, 3)])
+    t = as_tree(g)
+    assert t == g and t.adj is g.adj and t.edges() is g.edges()
+    assert as_tree(t) is t
+
+
 def test_is_connected():
     assert is_connected(path_graph(3))
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))

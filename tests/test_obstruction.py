@@ -205,7 +205,8 @@ def test_attachment_search_composes_each_a_v_once(monkeypatch):
         return compose(reduced, special, pattern)
 
     monkeypatch.setattr(obstruction, "compose", counting)
-    found = obstruction._derive_attachment(base.t0, {})
+    small = {m: list(enumerate_trees(m)) for m in range(3, obstruction._MAX_ATTACHMENT + 1)}
+    found = obstruction._derive_attachment(base.t0, small)
     assert len(composed) == len(set(composed))
     assert (found.tree.edges(), found.v, found.w) == (
         base.attachment.tree.edges(),
