@@ -74,20 +74,34 @@ stays connected to c when a vertex v of the branch is removed, so v
 separates the level exactly when it separates the branch plus c.  The
 dummy, hanging at c, changes nothing for v and makes c a cutvertex: the
 branch's cutvertices are the level's inside it, plus c.  Only the other
-branches, and the input, run a lowpoint DFS.  A level picks its
-cutvertex from a heap ordered by degree, then id, dropping entries of
-vertices that left or changed degree as they surface.  Every level's
-graph is connected, so finding no cutvertex means 2-connected, and only
-the input can be, since every inner level has a pendant dummy.  Square
-adjacency is a distance-2 test on the level's graph; no square is
-built.
+branches run a lowpoint DFS.  A level picks its cutvertex from a heap
+ordered by degree, then id, dropping entries of vertices that left or
+changed degree as they surface.  Square adjacency is a distance-2 test
+on the level's graph; no square is built.
+
+The input is settled first.  Connected with at least 3 vertices and no
+cutvertex, it is 2-connected, and its square's Hamilton cycle is the
+answer (Fleischner's theorem; ``oracle.fleischner_hamilton``); no level
+is built.  Otherwise the input, with the cutvertices that one DFS
+found, is the root level, and every inner level has a pendant dummy.
+So every level is connected and has a cutvertex: it is a path exactly
+when no vertex has degree 3 or more, and the ring of ``_Level`` with
+its count of such vertices is all a level needs.  Small levels need no
+case of their own.  An inner level has at least 4 vertices (a branch
+of at least 2, c and the dummy), and with exactly 4 it is the path
+dummy-c-gate-w.  A root on at most 4 vertices that is no path is
+either the claw K_{1,3} or the paw, whose split finds no branch of two
+vertices and takes the identity cycle over the complete square, or
+2-connected (the triangle, C_4, the diamond, K_4), where the Hamilton
+search on the complete square returns 0, 1, ..., n-1: the same cycle.
 
 The levels form a tree that is walked in post-order with an explicit
-stack: ``_Levels.split`` either solves a level outright or returns a
-``_Cut`` that hands out its branch subproblems one at a time, reads each
-branch's entry pair off the result edges as the branch comes back, and
-finally joins them.  The depth of the decomposition is therefore not
-bounded by Python's recursion limit.
+stack of generators, one per open cut: ``_Levels.split`` either solves
+a level outright or returns a ``_Cut``, whose ``solve`` yields its
+branches as levels one at a time, reads each branch's entry pair off
+the result edges when resumed after it, and finally joins them.  The
+depth of the decomposition is therefore not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -100,6 +114,7 @@ from .graphs import (
     Graph,
     InternalInvariantError,
     articulation_points,
+    cutvertices,
     is_connected,
     is_path_graph,
 )
@@ -320,27 +335,30 @@ class _Levels:
             result[v].add(u)
 
     def build(self) -> set[tuple[int, int]]:
-        """Solve the level tree in post-order; the result edges."""
-        open_cuts: list[_Cut] = []
-        root = _Level(list(range(self.g.n)), _View(self.adj, self.label, 0))
-        step = self.split(root, 0)
-        while True:
-            if step is not None:
-                open_cuts.append(step)
-            elif open_cuts:
-                open_cuts[-1].take()
-            else:
-                return {(u, v) for u, vs in enumerate(self.result) for v in vs if u < v}
-            cut = open_cuts[-1]
-            if cut.done():
+        """The result edges: a Hamilton cycle of the square when the host
+        is 2-connected, else the level tree solved in post-order."""
+        g = self.g
+        cuts = cutvertices(g)
+        if not cuts:
+            # connected with n >= 3 and no cutvertex: 2-connected
+            return _cycle_edges(fleischner_hamilton(g))
+        root = _Level(list(range(g.n)), _View(self.adj, self.label, 0), cuts)
+        # below the root's one-item iterator, one generator per open cut,
+        # innermost last; each yields its branches as levels and takes a
+        # branch's solution when resumed
+        open_cuts = [iter([(root, 0)])]
+        while open_cuts:
+            branch = next(open_cuts[-1], None)
+            if branch is None:
                 open_cuts.pop()
-                cut.join()
-                step = None
-            else:
-                step = self.split(*cut.next_branch())
+                continue
+            cut = self.split(*branch)
+            if cut is not None:
+                open_cuts.append(cut.solve())
+        return {(u, v) for u, vs in enumerate(self.result) for v in vs if u < v}
 
     def split(self, level: _Level, depth: int) -> _Cut | None:
-        """Solve a connected level outright, or split it at a cutvertex.
+        """Solve a level outright, or split it at a cutvertex.
 
         A solved level's edges go to the result.
         """
@@ -348,20 +366,11 @@ class _Levels:
         if level.is_path():
             self.add(_path_square_cycle(level.vertices(), view))
             return None
-        if level.size <= 4:
-            # connected, not a path, at most 4 vertices: diameter <= 2, so
-            # the square is complete and the identity cycle works
-            self.add(_cycle_edges(level.vertices()))
-            return None
         if level.cuts is None:
             vs = level.vertices()
-            cuts = articulation_points(vs, view, dict.fromkeys(vs, -1), dict.fromkeys(vs, 0))
-            if not cuts:
-                if depth:
-                    raise InternalInvariantError("a level with a dummy leaf has no cutvertex")
-                self.add(_cycle_edges(fleischner_hamilton(self.g)))
-                return None
-            level.cuts = cuts
+            level.cuts = articulation_points(vs, view, dict.fromkeys(vs, -1), dict.fromkeys(vs, 0))
+            if not level.cuts:
+                raise InternalInvariantError("a level with a dummy leaf has no cutvertex")
         c = level.top_cut(self.label)
         if c is None:
             raise InternalInvariantError("no cutvertex of degree >= 3 in a non-path host")
@@ -436,7 +445,6 @@ class _Levels:
         if last >= 0:
             # the largest branch's lowest vertex: the lowest of the level
             # after c and the other components
-            level.link()
             first = next(v for v in level.ascending() if v != c and owner.get(v, last) == last)
             branches.append((first, None, [], []))
             heavy = (nc[last], parked, sum(1 for v in parked if len(view[v]) >= 3))
@@ -512,34 +520,27 @@ _HEAD = -1
 class _Level:
     """A level as the split reads it.
 
-    ``view`` is its graph and ``size`` its vertex count.  Its vertices
-    come in ascending order from ``vs`` until the level first narrows;
-    from then on ``after`` and ``before`` link them into a ring closed by
-    ``_HEAD``, and ``wide`` counts its vertices of degree >= 3.  A
-    narrowed level is connected and has a pendant dummy, so it is a path
-    exactly when ``wide`` is 0.  ``cuts`` holds its cutvertices, None
-    until known, and ``heap`` those of degree >= 3 as (-degree, id),
-    stale entries dropped when met.  ``narrow`` turns the level into its
-    largest branch in place, at the cost of the vertices that leave it.
-    Building the ring only for levels that narrow keeps the many small
-    levels that end as paths as cheap as a list.
+    ``view`` is its graph.  ``after`` and ``before`` link its vertices
+    in ascending order into a ring closed by ``_HEAD``, and ``wide``
+    counts its vertices of degree >= 3.  Every level is connected and
+    has a cutvertex, so it is a path exactly when ``wide`` is 0.
+    ``cuts`` holds its cutvertices, None until known, and ``heap`` those
+    of degree >= 3 as (-degree, id), stale entries dropped when met.
+    ``narrow`` turns the level into its largest branch in place, at the
+    cost of the vertices that leave it.
     """
 
     def __init__(self, vs: list[int], view: _View, cuts: set[int] | None = None):
         self.view = view
         self.mark = view.mark
-        self.vs: list[int] | None = vs
-        self.size = len(vs)
-        self.after: dict[int, int] | None = None
-        self.before: dict[int, int] = {}
-        self.wide = 0
+        ring = [_HEAD, *vs, _HEAD]
+        self.after = dict(zip(ring, ring[1:]))
+        self.before = dict(zip(ring[1:], ring))
+        self.wide = sum(1 for v in vs if len(view[v]) >= 3)
         self.cuts = cuts
         self.heap: list[tuple[int, int]] | None = None
 
     def ascending(self):
-        if self.after is None:
-            yield from self.vs
-            return
         after = self.after
         v = after[_HEAD]
         while v != _HEAD:
@@ -547,23 +548,11 @@ class _Level:
             v = after[v]
 
     def vertices(self) -> list[int]:
-        return self.vs if self.after is None else list(self.ascending())
-
-    def link(self) -> None:
-        """Move from ``vs`` to the ring and the count of degree >= 3
-        vertices, before the level first narrows."""
-        if self.after is None:
-            ring = [_HEAD] + self.vs
-            self.after = dict(zip(ring, ring[1:] + [_HEAD]))
-            self.before = dict(zip(ring[1:] + [_HEAD], ring))
-            self.wide = sum(1 for v in self.vs if len(self.view[v]) >= 3)
-            self.vs = None
+        return list(self.ascending())
 
     def is_path(self) -> bool:
-        """Degrees <= 2 and two ends: a path, the level being connected."""
-        if self.after is None:
-            degrees = [len(self.view[v]) for v in self.vs]
-            return max(degrees) <= 2 and degrees.count(1) == 2
+        """No vertex of degree >= 3: a path, as the level is connected
+        and has a cutvertex."""
         return not self.wide
 
     def top_cut(self, label: list[int]) -> int | None:
@@ -597,7 +586,6 @@ class _Level:
             before[a] = b
         last = before[_HEAD]
         after[last], before[y], after[y], before[_HEAD] = y, last, _HEAD, y
-        self.size += 1 - len(parked)
         self.wide -= lost + 1
         view[c] = [gate, y]
         view[y] = [c]
@@ -613,9 +601,9 @@ class _Cut:
     search left it unsearched, has no list; ``heavy`` then holds its
     gate, the rest of the level but c, and how many of those have degree
     at least 3.
-    ``next_branch`` opens the next branch as a level, ``take`` reads that
-    branch's solution into a contracted pair and closes the branch, and
-    ``join`` spans the theta graph once every branch is in.
+    ``solve`` opens each branch as a level in turn, reads its solution
+    into a contracted pair and closes it, and spans the theta graph once
+    every branch is in.
     """
 
     def __init__(
@@ -642,22 +630,27 @@ class _Cut:
         self.pairs: list[tuple[int, int]] = []
         # engagement edges; they join the result with the theta graph
         self.extra_edges: list[tuple[int, int]] = []
-        # the open branch: the vertices whose mark ``take`` restores, its
-        # gate, the vertex the gate is engaged to if any, its dummy, and
-        # the changes to undo
-        self._awaited: tuple[list[int], int, int | None, int, list] = ([], -1, None, -1, [])
 
-    def done(self) -> bool:
-        return len(self.pairs) == len(self.branches)
-
-    def next_branch(self) -> tuple[_Level, int]:
-        """Open the next branch plus the cutvertex and a pendant dummy as
-        a level, with its depth.  Its centres are the level's, re-tested
-        near c and near dropped edges, and its matching is the level's,
-        restricted to the branch."""
-        lv, c, nc = self.levels, self.c, self.nc
-        _, comp, ends, comp_cuts = self.branches[len(self.pairs)]
+    def solve(self):
+        """Yield each branch as a level with its depth, in order; take
+        the branch's solution when resumed, and join after the last."""
         depth = self.depth + 1
+        for _, comp, ends, comp_cuts in self.branches:
+            level, opened = self.open(comp, ends, comp_cuts, depth)
+            yield level, depth
+            self.take(*opened)
+        self.join()
+
+    def open(
+        self, comp: list[int] | None, ends: list[int], comp_cuts: list[int], depth: int
+    ) -> tuple[_Level, tuple]:
+        """Open a branch plus the cutvertex and a pendant dummy as a
+        level.  Its centres are the level's, re-tested near c and near
+        dropped edges, and its matching is the level's, restricted to
+        the branch.  Returns the level and what ``take`` needs: the
+        vertices whose mark it restores, the gate, the vertex the gate
+        is engaged to if any, the dummy, and the changes to undo."""
+        lv, c, nc = self.levels, self.c, self.nc
         y = lv.dummy(depth)
         label = lv.label
         if comp is None:
@@ -747,14 +740,12 @@ class _Cut:
             vs = level.vertices()
             cuts = None if level.cuts is None else {v for v in vs if v in level.cuts}
             _level_hook(lv.adj, vs, view, {v for v in vs if centre[v]}, cuts)
-        self._awaited = (restore, u_i, engaged_to, y, undo)
-        return level, depth
+        return level, (restore, u_i, engaged_to, y, undo)
 
-    def take(self) -> None:
+    def take(self, restore: list[int], u_i: int, engaged_to: int | None, y: int, undo: list) -> None:
         """Close the open branch; its result edges at the cutvertex and
         the dummy give the branch's entry pair, the others stay."""
         lv, c, mark = self.levels, self.c, self.mark
-        restore, u_i, engaged_to, y, undo = self._awaited
         label = lv.label
         for v in restore:
             label[v] = mark
@@ -897,7 +888,6 @@ class _Cut:
             result.remove(e)
         result.update(self.extra_edges)
         lv.add(result)
-
 
 
 def build_general_trestle(

@@ -63,7 +63,10 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        # es is sorted, so each list gets its lower neighbours (as the
+        # second end, in order of the first) and then its higher ones (as
+        # the first end, in order of the second): already ascending
+        self.adj = tuple(tuple(a) for a in adj)
         self._edges = tuple(es)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -77,9 +80,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def adjacency_masks(self) -> list[int]:
         """Neighbourhoods as bitmasks, for search-heavy callers."""
@@ -337,11 +337,14 @@ def write_edgelist(g: Graph) -> bytes:
 
 
 def read_edgelist(data: bytes) -> Graph:
+    # a byte outside ASCII decodes to one U+FFFD, so each character is
+    # one byte and offsets into the text are byte offsets
     text = data.decode("ascii", errors="replace")
     n = -1
     edges = []
     offset = 0
-    max_seen = -1
+    # the largest id, and the offset of the first line that holds it
+    max_seen, max_at = -1, 0
     for line in text.splitlines(keepends=True):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
@@ -349,7 +352,9 @@ def read_edgelist(data: bytes) -> Graph:
                 try:
                     n = int(stripped[2:])
                 except ValueError:
-                    raise FormatError("bad vertex-count header", offset) from None
+                    n = -1
+                if n < 0:
+                    raise FormatError("bad vertex-count header", offset)
             else:
                 parts = stripped.split()
                 if len(parts) != 2:
@@ -361,13 +366,14 @@ def read_edgelist(data: bytes) -> Graph:
                 if u < 0 or v < 0:
                     raise FormatError("negative vertex id", offset)
                 edges.append((u, v))
-                max_seen = max(max_seen, u, v)
-        offset += len(line.encode())
+                if u > max_seen or v > max_seen:
+                    max_seen, max_at = max(u, v), offset
+        offset += len(line)
     if n < 0:
         n = max_seen + 1
     if max_seen >= n:
-        raise FormatError(f"vertex id {max_seen} exceeds declared n={n}", 0)
-    return Graph(max(n, 0), edges)
+        raise FormatError(f"vertex id {max_seen} exceeds declared n={n}", max_at)
+    return Graph(n, edges)
 
 
 def write_dot(g: Graph, highlight: Iterable[int] = ()) -> bytes:

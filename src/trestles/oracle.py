@@ -29,21 +29,10 @@ EXHAUSTED = "exhausted"
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """At most ``node_limit`` search nodes: a search numbers its nodes
+    from 1 and stops at the first number above the limit."""
+
     node_limit: int = 2_000_000
-
-    def tracker(self) -> "_BudgetTracker":
-        return _BudgetTracker(self)
-
-
-class _BudgetTracker:
-    def __init__(self, budget: SearchBudget):
-        self.nodes = 0
-        self.limit = budget.node_limit
-
-    def tick(self) -> bool:
-        """Charge one search node; False when the budget is gone."""
-        self.nodes += 1
-        return self.nodes <= self.limit
 
 
 @dataclass(frozen=True)
@@ -54,10 +43,6 @@ class TrestleSearchResult:
 
 class SearchBudgetExhausted(DomainError):
     """A search ran out of its node budget before a verdict."""
-
-
-class _OutOfBudget(Exception):
-    pass
 
 
 def _two_connected(n: int, edges) -> bool:
@@ -85,8 +70,8 @@ def brute_force_trestle(g: Graph, k: int, budget: SearchBudget | None = None) ->
     """
     if g.n < 3:
         raise DomainError("trestles need n >= 3")
-    budget = budget or SearchBudget()
-    tracker = budget.tracker()
+    limit = (budget or SearchBudget()).node_limit
+    nodes = itertools.count(1)
     n = g.n
     higher = [tuple(w for w in g.adj[v] if w > v) for v in range(n)]
     chosen: set[tuple[int, int]] = set()
@@ -104,8 +89,8 @@ def brute_force_trestle(g: Graph, k: int, budget: SearchBudget | None = None) ->
         return _two_connected(n, edges)
 
     def rec(v: int) -> tuple[tuple[int, int], ...] | None:
-        if not tracker.tick():
-            raise _OutOfBudget
+        if next(nodes) > limit:
+            raise SearchBudgetExhausted("trestle search budget exhausted")
         if v == n:
             if _two_connected(n, chosen):
                 return tuple(sorted(chosen))
@@ -133,7 +118,7 @@ def brute_force_trestle(g: Graph, k: int, budget: SearchBudget | None = None) ->
 
     try:
         found = rec(0)
-    except _OutOfBudget:
+    except SearchBudgetExhausted:
         return TrestleSearchResult(EXHAUSTED)
     if found is None:
         return TrestleSearchResult(NONE)
@@ -149,8 +134,8 @@ def brute_force_trestle_by_degrees(g: Graph, k: int, budget: SearchBudget | None
     """
     if g.n < 3:
         raise DomainError("trestles need n >= 3")
-    budget = budget or SearchBudget()
-    tracker = budget.tracker()
+    limit = (budget or SearchBudget()).node_limit
+    nodes = itertools.count(1)
     n = g.n
     higher = [tuple(w for w in g.adj[v] if w > v) for v in range(n)]
 
@@ -159,8 +144,8 @@ def brute_force_trestle_by_degrees(g: Graph, k: int, budget: SearchBudget | None
         remaining = list(targets)
 
         def rec(v: int) -> tuple[tuple[int, int], ...] | None:
-            if not tracker.tick():
-                raise _OutOfBudget
+            if next(nodes) > limit:
+                raise SearchBudgetExhausted("trestle search budget exhausted")
             if v == n:
                 if all(r == 0 for r in remaining) and _two_connected(n, chosen):
                     return tuple(sorted(chosen))
@@ -195,7 +180,7 @@ def brute_force_trestle_by_degrees(g: Graph, k: int, budget: SearchBudget | None
             found = realize(targets)
             if found is not None:
                 return TrestleSearchResult(FOUND, found)
-    except _OutOfBudget:
+    except SearchBudgetExhausted:
         return TrestleSearchResult(EXHAUSTED)
     return TrestleSearchResult(NONE)
 
@@ -219,8 +204,8 @@ def hamilton_cycle(g: Graph, budget: SearchBudget | None = None) -> list[int] | 
     n = g.n
     if n < 3:
         return None
-    budget = budget or SearchBudget()
-    tracker = budget.tracker()
+    limit = (budget or SearchBudget()).node_limit
+    nodes = itertools.count(1)
     masks = g.adjacency_masks()
     all_mask = (1 << n) - 1
 
@@ -250,7 +235,7 @@ def hamilton_cycle(g: Graph, budget: SearchBudget | None = None) -> list[int] | 
     used = 1
     untried: list[int] = []  # per path vertex, the extensions not yet tried
     while True:
-        if not tracker.tick():
+        if next(nodes) > limit:
             raise SearchBudgetExhausted("Hamilton search budget exhausted")
         tip = path[-1]
         if len(path) == n:

@@ -198,6 +198,13 @@ def test_usage_error_on_bad_format(capsys, tmp_path):
     assert code == 2
 
 
+def test_negative_vertex_count_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "neg.el"
+    path.write_bytes(b"n=-3\n0 1\n1 2\n")
+    assert main(["build", str(path), "--k", "2"]) == 2
+    assert "bad vertex-count header (byte offset 0)" in capsys.readouterr().err
+
+
 def test_budget_exhaustion_has_its_own_exit_code(capsys, monkeypatch, tmp_path):
     # C6 is 2-connected, so build falls back to the Hamilton search,
     # here with a budget too small to finish

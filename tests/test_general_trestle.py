@@ -127,6 +127,11 @@ CHORDED_CORPUS_DIGEST = "9e60b5ee1e0f6b41e7c7ebfa7af7b7d8dbca09b690b67b6a70c9e97
 COMB_300_DIGEST = "e87c2293b65bfc7672f18a08f0d6c1b7af8d619560f86571208154d8fd0104f7"
 
 
+# the same, taken before the input's 2-connectivity was settled ahead of
+# the levels, for every labelled connected host on 3 to 5 vertices
+LABELLED_N5_DIGEST = "0aaff71925ba85563d69ec5c77d4e00468e503e1d80d351be5c643f4161f640c"
+
+
 def _digest(certs) -> str:
     h = hashlib.sha256()
     for cert in certs:
@@ -140,6 +145,66 @@ def test_certificates_match_golden_digest():
     chorded = list(chorded_host_corpus(seed=11))
     assert max(g.n for g, _ in chorded) >= 400
     assert _digest(build_general_trestle(g, m.edge_list) for g, m in chorded) == CHORDED_CORPUS_DIGEST
+
+
+def _labelled_connected_hosts(n: int):
+    """Every connected graph on 0..n-1, edge sets in the binary order of
+    their bitmasks over the pairs in lexicographic order."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        if graphs.is_connected(g):
+            yield g
+
+
+def test_every_small_labelled_host_matches_golden_digest():
+    # covers every root that once had a case of its own for at most 4
+    # vertices: the claw and the paw split, the 2-connected ones take
+    # the Hamilton search
+    certs = []
+    for n in range(3, 6):
+        for g in _labelled_connected_hosts(n):
+            certs.append(build_general_trestle(g, builder_matching(g).edge_list))
+    assert len(certs) == 770
+    assert _digest(certs) == LABELLED_N5_DIGEST
+
+
+def test_two_connected_host_builds_no_level(monkeypatch):
+    # C_7, and a 2-connected ear host: the cycle 0..5 with the ear 1-6-7-4
+    made = []
+    init = general_trestle._Level.__init__
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(general_trestle._Level, "__init__", counting_init)
+    monkeypatch.setattr(general_trestle, "_level_hook", lambda *args: made.append(args))
+    ear = Graph(8, [(i, (i + 1) % 6) for i in range(6)] + [(1, 6), (6, 7), (7, 4)])
+    for g in (cycle_graph(7), ear):
+        cert = build_general_trestle(g, builder_matching(g).edge_list)
+        assert verify_trestle(cert).passed()
+    assert made == []
+    # the same counter sees the levels of a host with a cutvertex
+    build_general_trestle(path_graph(5), ())
+    assert made
+
+
+def test_is_path_is_the_degree_scan(monkeypatch):
+    split = general_trestle._Levels.split
+    seen = []
+
+    def checked_split(self, level, depth):
+        degrees = [len(level.view[v]) for v in level.vertices()]
+        assert level.is_path() == (max(degrees) <= 2 and degrees.count(1) == 2)
+        seen.append(level.is_path())
+        return split(self, level, depth)
+
+    monkeypatch.setattr(general_trestle._Levels, "split", checked_split)
+    comb = path_ordered_comb(300)
+    for g, m in [*chorded_host_corpus(seed=11), (comb, builder_matching(comb))]:
+        build_general_trestle(g, m.edge_list)
+    assert True in seen and False in seen
 
 
 def test_deep_comb_builds_under_a_low_recursion_limit():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from trestles.graphs import (
     DomainError,
@@ -90,6 +91,58 @@ def test_edgelist_roundtrip_and_errors():
         read_edgelist(b"n=3\n0 5\n")
     with pytest.raises(FormatError):
         read_edgelist(b"nonsense\n")
+
+
+@pytest.mark.parametrize(
+    "data, offset",
+    [
+        # a byte outside ASCII counts once, however it decodes
+        (b"# caf\xe9 comment\n0 1\nx y\n", 19),
+        (b"# \xe9\xe9\xe9\n0 1 2\n", 6),
+        # a negative vertex count is refused where it stands
+        (b"0 1\nn=-3\n1 2\n", 4),
+        # the offset is that of the first line holding the id named
+        (b"n=3\n0 1\n1 5\n2 5\n", 8),
+        (b"0 7\n1 2\nn=4\n", 0),
+    ],
+)
+def test_edgelist_errors_report_the_offending_line(data, offset):
+    with pytest.raises(FormatError) as info:
+        read_edgelist(data)
+    assert info.value.offset == offset
+
+
+def test_edgelist_error_messages():
+    with pytest.raises(FormatError, match="bad vertex-count header"):
+        read_edgelist(b"n=-3\n0 1\n")
+    with pytest.raises(FormatError, match="vertex id 5 exceeds declared n=3"):
+        read_edgelist(b"n=3\n0 1\n1 5\n")
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda e: e[0] != e[1]
+                ),
+                max_size=40,
+            ),
+        )
+    )
+)
+def test_graph_adjacency_is_sorted_without_a_sort(case):
+    n, edges = case
+    # every edge once more, the other way round
+    g = Graph(n, edges + [(v, u) for u, v in edges])
+    expected = sorted({(min(e), max(e)) for e in edges})
+    assert list(g.edges()) == expected
+    for v in range(n):
+        assert list(g.adj[v]) == sorted(
+            {u for e in expected for u in e if v in e and u != v}
+        )
+    assert read_edgelist(write_edgelist(g)) == g
 
 
 def test_as_tree_rejects_non_tree():

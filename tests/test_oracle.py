@@ -76,6 +76,41 @@ def test_budget_exhaustion():
     assert r.status == EXHAUSTED
 
 
+def _petersen() -> Graph:
+    return Graph(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    )
+
+
+# (search, least node_limit that reaches a verdict, that verdict); the
+# limits were read off the searches as they stood before their budgets
+# lost the tracker object, and must not move
+@pytest.mark.parametrize(
+    "search, least, verdict",
+    [
+        (lambda b: hamilton_cycle(cycle_graph(8), b), 8, "cycle"),
+        (lambda b: hamilton_cycle(_petersen(), b), 202, None),
+        (lambda b: brute_force_trestle(square(path_graph(6)), 3, b).status, 7, FOUND),
+        (lambda b: brute_force_trestle(square(spider(3)), 3, b).status, 8, FOUND),
+        (lambda b: brute_force_trestle_by_degrees(square(path_graph(6)), 3, b).status, 16, FOUND),
+        (lambda b: brute_force_trestle_by_degrees(square(spider(3)), 2, b).status, 178, NONE),
+    ],
+)
+def test_budget_cutoffs_are_pinned(search, least, verdict):
+    def outcome(limit):
+        try:
+            r = search(SearchBudget(node_limit=limit))
+        except SearchBudgetExhausted:
+            return EXHAUSTED
+        return "cycle" if isinstance(r, list) else r
+
+    assert outcome(least - 1) == EXHAUSTED
+    assert outcome(least) == verdict
+
+
 def test_hamilton_budget_exhaustion_is_a_domain_error_naming_the_budget():
     with pytest.raises(SearchBudgetExhausted, match="budget") as info:
         hamilton_cycle(cycle_graph(6), SearchBudget(node_limit=3))
