@@ -15,6 +15,7 @@ from .graphs import (
     Graph,
     InternalInvariantError,
     Tree,
+    Undetermined,
     square,
 )
 from .general_trestle import build_general_trestle, path_square_cycle
@@ -29,7 +30,6 @@ from .matching_flow import (
 from .obstruction import (
     FFamilyMember,
     ObstructionWitness,
-    Undetermined,
     check_obstruction,
     derive_base_patterns,
     f_family,

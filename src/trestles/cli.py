@@ -4,8 +4,12 @@ Exit codes: 0 success or feasible, 1 infeasible / obstruction found (a
 verdict, with the witness on stdout), 2 usage error, 3 internal fault
 (an invariant violation, or any other unexpected exception, reported
 on stderr with its traceback), 4 no verdict (a search budget
-exhausted, or a ``derive-patterns`` search undetermined within its
-``--max-n``).
+exhausted, a ``derive-patterns`` search undetermined within its
+``--max-n``, or a non-tree ``build`` host with a cutvertex outside the
+theorem's hypotheses: an induced S(K_{1,4}) or no saturating centre
+matching).  ``build`` on a 2-connected host gives the Hamilton cycle of
+its square (exit 0, or 4 if the search budget runs out), with the
+centre matching in the certificate when one exists.
 Identical invocations produce byte-identical output.
 """
 
@@ -22,6 +26,7 @@ from .graphs import (
     FormatError,
     Graph,
     InternalInvariantError,
+    Undetermined,
     as_tree,
     read_graph,
     square,
@@ -31,7 +36,7 @@ from .graphs import (
     read_graph6,
 )
 from .matching_flow import theorem1_matching
-from .obstruction import Undetermined, check_obstruction, derive_base_patterns, f_family
+from .obstruction import check_obstruction, derive_base_patterns, f_family
 from .oracle import FOUND, SearchBudget, SearchBudgetExhausted, brute_force_trestle, enumerate_trees
 from .patterns import centres, tree_profile
 from .tree_trestle import build_tree_trestle, decide_tree_trestle
@@ -100,12 +105,11 @@ def _cmd_build(args) -> int:
     else:
         if args.k != 3:
             raise DomainError("non-tree hosts are built with --k 3")
-        x = centres(g, 3)
-        matching = theorem1_matching(g, x)
-        if matching is None:
-            _emit({"feasible": False, "reason": "no saturating centre matching"})
-            return 1
-        cert = build_general_trestle(g, matching.edge_list)
+        # the builder settles 2-connectivity first: a 2-connected host is
+        # built with or without the matching, and one with a cutvertex and
+        # no matching has no verdict
+        matching = theorem1_matching(g, centres(g, 3))
+        cert = build_general_trestle(g, None if matching is None else matching.edge_list)
     _emit({"feasible": True, "certificate": cert.to_jsonable()})
     if args.dot:
         _write_dot(args.dot, square(g))

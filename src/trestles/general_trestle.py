@@ -79,11 +79,13 @@ ordered by degree, then id, dropping entries of vertices that left or
 changed degree as they surface.  Square adjacency is a distance-2 test
 on the level's graph; no square is built.
 
-The input is settled first.  Connected with at least 3 vertices and no
-cutvertex, it is 2-connected, and its square's Hamilton cycle is the
-answer (Fleischner's theorem; ``oracle.fleischner_hamilton``); no level
-is built.  Otherwise the input, with the cutvertices that one DFS
-found, is the root level, and every inner level has a pendant dummy.
+The input is settled first, by one DFS, before any hypothesis is
+tested.  Connected with at least 3 vertices and no cutvertex, it is
+2-connected, and its square's Hamilton cycle is the answer
+(Fleischner's theorem; ``oracle.fleischner_hamilton``) whatever its
+centres, since that theorem needs nothing else; no level is built.
+Otherwise the input, with the cutvertices that the DFS found, is the
+root level, and every inner level has a pendant dummy.
 So every level is connected and has a cutvertex: it is a path exactly
 when no vertex has degree 3 or more, and the ring of ``_Level`` with
 its count of such vertices is all a level needs.  Small levels need no
@@ -113,9 +115,9 @@ from .graphs import (
     DomainError,
     Graph,
     InternalInvariantError,
+    Undetermined,
     articulation_points,
-    cutvertices,
-    is_connected,
+    connected_cutvertices,
     is_path_graph,
 )
 from .matching_flow import Matching
@@ -334,15 +336,10 @@ class _Levels:
             result[u].add(v)
             result[v].add(u)
 
-    def build(self) -> set[tuple[int, int]]:
-        """The result edges: a Hamilton cycle of the square when the host
-        is 2-connected, else the level tree solved in post-order."""
-        g = self.g
-        cuts = cutvertices(g)
-        if not cuts:
-            # connected with n >= 3 and no cutvertex: 2-connected
-            return _cycle_edges(fleischner_hamilton(g))
-        root = _Level(list(range(g.n)), _View(self.adj, self.label, 0), cuts)
+    def build(self, cuts: set[int]) -> set[tuple[int, int]]:
+        """The result edges: the level tree, rooted at the host with its
+        cutvertices ``cuts`` (not empty), solved in post-order."""
+        root = _Level(list(range(self.g.n)), _View(self.adj, self.label, 0), cuts)
         # below the root's one-item iterator, one generator per open cut,
         # innermost last; each yields its branches as levels and takes a
         # branch's solution when resumed
@@ -890,36 +887,50 @@ class _Cut:
         lv.add(result)
 
 
-def build_general_trestle(
-    g: Graph, matching_edges
-) -> TrestleCertificate:
+def build_general_trestle(g: Graph, matching_edges) -> TrestleCertificate:
     """3-trestle certificate with unmatched vertices of degree exactly 2.
 
-    The host must be connected, S(K_{1,4})-free, and the matching must
-    pair each centre of an induced S(K_{1,3}) with a non-centre
-    neighbour, one centre per edge.
+    The host must be connected, with at least 3 vertices, and one DFS
+    settles whether it has a cutvertex.  A 2-connected host gets the
+    Hamilton cycle of its square (Fleischner's theorem), whatever its
+    centres; ``matching_edges``, a matching of the host or None, is then
+    only carried into the certificate.  A host with a cutvertex is built
+    by the inductive proof, whose hypotheses are that the host is
+    S(K_{1,4})-free and that the matching pairs each centre of an
+    induced S(K_{1,3}) with a non-centre neighbour, one centre per edge.
+    An induced S(K_{1,4}), or no matching (None), leaves the host outside
+    them with no verdict (Undetermined); a matching that breaks the
+    pairing is a DomainError.
     """
     if g.n < 3:
         raise DomainError("need at least 3 vertices")
-    if not is_connected(g):
+    cuts = connected_cutvertices(g)
+    if cuts is None:
         raise DomainError("host graph is not connected")
-    x = centres(g, 3)
-    # the centre of an induced S(K_{1,4}) is the centre of an induced
-    # S(K_{1,3}) too, so only the centres need testing
-    if any(centre_witness(g, v, 4) is not None for v in x):
-        raise DomainError("host graph contains an induced S(K_{1,4})")
-    edges = tuple(sorted({_norm(u, v) for u, v in matching_edges}))
-    m = Matching(g, edges)
-    for u, v in edges:
-        if (u in x) == (v in x):
-            raise DomainError(f"matching edge ({u},{v}) must have exactly one centre end")
-    if not x <= m.covered():
-        raise DomainError("matching does not saturate the centre set")
-    partner = {}
-    for u, v in edges:
-        partner[u] = v
-        partner[v] = u
-    trestle = _Levels(g, partner, x).build()
+    edges = None
+    if matching_edges is not None:
+        edges = tuple(sorted({_norm(u, v) for u, v in matching_edges}))
+        m = Matching(g, edges)
+    if not cuts:
+        trestle = _cycle_edges(fleischner_hamilton(g))
+    else:
+        x = centres(g, 3)
+        # the centre of an induced S(K_{1,4}) is the centre of an induced
+        # S(K_{1,3}) too, so only the centres need testing
+        if any(centre_witness(g, v, 4) is not None for v in x):
+            raise Undetermined("undetermined: the host has a cutvertex and an induced S(K_{1,4})")
+        if edges is None:
+            raise Undetermined("undetermined: the host has a cutvertex and no saturating centre matching")
+        for u, v in edges:
+            if (u in x) == (v in x):
+                raise DomainError(f"matching edge ({u},{v}) must have exactly one centre end")
+        if not x <= m.covered():
+            raise DomainError("matching does not saturate the centre set")
+        partner = {}
+        for u, v in edges:
+            partner[u] = v
+            partner[v] = u
+        trestle = _Levels(g, partner, x).build(cuts)
     cert = TrestleCertificate.of(g, trestle, 3, matching_edges=edges)
     report = verify_trestle(cert)
     if not report.passed():

@@ -7,7 +7,8 @@ randomness.
 
 from __future__ import annotations
 
-from typing import Iterable
+from operator import ge
+from typing import Iterable, Sequence
 
 
 class DomainError(ValueError):
@@ -23,6 +24,11 @@ class FormatError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+class Undetermined(DomainError):
+    """No verdict either way: an exhaustive search found none within the
+    range it was given, or the input lies outside a theorem's hypotheses."""
 
 
 class InternalInvariantError(RuntimeError):
@@ -131,6 +137,31 @@ class Tree(Graph):
         t._profile = None
         return t
 
+    @classmethod
+    def from_parents(cls, parent: Sequence[int]) -> "Tree":
+        """The tree on 0..len(parent)-1 that joins each v >= 1 to
+        ``parent[v]``, which must be a smaller id (``parent[0]`` is not
+        read).  Each vertex then leads down to 0 and there are n - 1
+        edges, so the edges and sorted adjacency are written directly:
+        v's list is its parent, then its children in the order of their
+        ids."""
+        n = len(parent)
+        if n == 0:
+            raise DomainError("a tree needs a vertex")
+        ups = parent[1:]
+        if any(map(ge, ups, range(1, n))) or (ups and min(ups) < 0):
+            raise DomainError("each parent must be a smaller vertex id")
+        adj: list[list[int]] = [[p] for p in parent]
+        adj[0] = []
+        for v in range(1, n):
+            adj[parent[v]].append(v)
+        t = object.__new__(cls)
+        t.n = n
+        t.adj = tuple(map(tuple, adj))
+        t._edges = tuple(sorted(zip(ups, range(1, n))))
+        t._profile = None
+        return t
+
 
 class Digraph:
     """Simple digraph; antiparallel arc pairs are allowed."""
@@ -194,6 +225,16 @@ def cutvertices(g: Graph) -> set[int]:
     return articulation_points(range(g.n), g.adj, [-1] * g.n, [0] * g.n)
 
 
+def connected_cutvertices(g: Graph) -> set[int] | None:
+    """The articulation points of a connected ``g``, or None if ``g`` is
+    not connected: one lowpoint DFS from vertex 0 settles both."""
+    if g.n == 0:
+        return set()
+    disc = [-1] * g.n
+    cuts = articulation_points([0], g.adj, disc, [0] * g.n)
+    return None if -1 in disc else cuts
+
+
 def articulation_points(vertices, adj, disc, low) -> set[int]:
     """Articulation points of the graph on ``vertices`` whose neighbour
     lists ``adj`` gives, by iterative lowpoint DFS.
@@ -238,7 +279,7 @@ def articulation_points(vertices, adj, disc, low) -> set[int]:
 def is_two_connected(g: Graph) -> bool:
     if g.n < 3:
         raise DomainError("2-connectivity is only defined here for n >= 3")
-    return is_connected(g) and not cutvertices(g)
+    return connected_cutvertices(g) == set()
 
 
 def is_path_graph(g: Graph) -> bool:
@@ -338,41 +379,43 @@ def write_edgelist(g: Graph) -> bytes:
 
 def read_edgelist(data: bytes) -> Graph:
     # a byte outside ASCII decodes to one U+FFFD, so each character is
-    # one byte and offsets into the text are byte offsets
-    text = data.decode("ascii", errors="replace")
+    # one byte and offsets into the text are byte offsets; on this text
+    # isdigit() holds only for runs of 0-9, so a count or id has no sign,
+    # digit separator or space
+    lines = data.decode("ascii", errors="replace").splitlines(keepends=True)
+
+    def error(message: str, i: int) -> FormatError:
+        return FormatError(message, sum(map(len, lines[:i])))
+
     n = -1
     edges = []
-    offset = 0
-    # the largest id, and the offset of the first line that holds it
+    # the largest id, and the first line that holds it
     max_seen, max_at = -1, 0
-    for line in text.splitlines(keepends=True):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            if stripped.startswith("n="):
-                try:
-                    n = int(stripped[2:])
-                except ValueError:
-                    n = -1
-                if n < 0:
-                    raise FormatError("bad vertex-count header", offset)
-            else:
-                parts = stripped.split()
-                if len(parts) != 2:
-                    raise FormatError("edge line needs two vertex ids", offset)
-                try:
-                    u, v = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise FormatError("non-integer vertex id", offset) from None
-                if u < 0 or v < 0:
-                    raise FormatError("negative vertex id", offset)
-                edges.append((u, v))
-                if u > max_seen or v > max_seen:
-                    max_seen, max_at = max(u, v), offset
-        offset += len(line)
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
+            u, v = int(parts[0]), int(parts[1])
+            edges.append((u, v))
+            if u > max_seen or v > max_seen:
+                max_seen, max_at = max(u, v), i
+        elif not parts or parts[0].startswith("#"):
+            continue
+        elif parts[0].startswith("n="):
+            if n >= 0:
+                raise error("second vertex-count header", i)
+            if len(parts) != 1 or not parts[0][2:].isdigit():
+                raise error("bad vertex-count header", i)
+            n = int(parts[0][2:])
+        elif len(parts) != 2:
+            raise error("edge line needs two vertex ids", i)
+        else:
+            bad = parts[1] if parts[0].isdigit() else parts[0]
+            negative = bad[:1] == "-" and bad[1:].isdigit()
+            raise error("negative vertex id" if negative else "non-integer vertex id", i)
     if n < 0:
         n = max_seen + 1
     if max_seen >= n:
-        raise FormatError(f"vertex id {max_seen} exceeds declared n={n}", max_at)
+        raise error(f"vertex id {max_seen} exceeds declared n={n}", max_at)
     return Graph(n, edges)
 
 

@@ -16,6 +16,7 @@ from .graphs import (
     DomainError,
     InternalInvariantError,
     Tree,
+    Undetermined,
     components,
     square,
     write_graph6,
@@ -31,10 +32,6 @@ from .oracle import (
     tree_canonical_form,
 )
 from .patterns import centre_witness, tree_profile
-
-
-class Undetermined(DomainError):
-    """An exhaustive search found no verdict within the range it was given."""
 
 
 @dataclass(frozen=True)

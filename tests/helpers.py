@@ -11,6 +11,20 @@ from trestles.matching_flow import theorem1_matching
 from trestles.patterns import centres, is_spider_free
 
 
+# 2-connected hosts outside the theorem's hypotheses: the ear host of 17
+# vertices has no saturating centre matching, and the 13-vertex host is
+# an induced S(K_{1,4}) whose four leaves are joined in a cycle through
+# four new vertices
+EAR_HOST_17 = Graph(17, [
+    (0, 7), (0, 11), (0, 16), (1, 7), (1, 9), (2, 3), (2, 13), (2, 15), (3, 14), (4, 8), (4, 9),
+    (4, 11), (5, 6), (5, 7), (5, 16), (6, 8), (8, 14), (10, 12), (10, 14), (11, 13), (12, 13),
+    (15, 16),
+])
+RINGED_SPIDER_13 = Graph(13, [(0, v) for v in range(1, 5)] + [(v, v + 4) for v in range(1, 5)] + [
+    (5, 9), (9, 6), (6, 10), (10, 7), (7, 11), (11, 8), (8, 12), (12, 5),
+])
+
+
 @functools.lru_cache(maxsize=1)
 def base_patterns():
     """Derived base obstruction patterns, computed once per test run."""

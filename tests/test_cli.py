@@ -3,11 +3,13 @@ import json
 
 import pytest
 
-from helpers import base_patterns
+from helpers import EAR_HOST_17, RINGED_SPIDER_13, base_patterns
 
 from trestles import cli, general_trestle, obstruction, oracle
 from trestles.cli import main
-from trestles.graphs import Tree, cycle_graph, path_graph, spider, write_edgelist, write_graph6
+from trestles.graphs import Graph, Tree, cycle_graph, path_graph, spider, write_edgelist, write_graph6
+from trestles.matching_flow import theorem1_matching
+from trestles.patterns import centres
 
 
 @pytest.fixture
@@ -53,6 +55,47 @@ def test_build_on_a_long_cycle(capsys, tmp_path):
     code, out = run(capsys, "build", str(path), "--k", "3")
     assert code == 0
     assert json.loads(out)["certificate"]["degrees"] == [2] * 3000
+
+
+def _host_file(tmp_path, name, g):
+    path = tmp_path / name
+    path.write_bytes(write_edgelist(g))
+    return str(path)
+
+
+@pytest.mark.parametrize("host", [EAR_HOST_17, RINGED_SPIDER_13], ids=["ear-17", "ringed-spider-13"])
+def test_two_connected_host_outside_the_hypotheses_builds(capsys, tmp_path, host):
+    # no saturating centre matching, or an induced S(K_{1,4}): the square
+    # of a 2-connected host is Hamiltonian all the same
+    code, out = run(capsys, "build", _host_file(tmp_path, "h.el", host), "--k", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["feasible"] is True
+    assert payload["certificate"]["degrees"] == [2] * host.n
+    # the certificate carries the centre matching exactly when one exists
+    matching = theorem1_matching(host, centres(host, 3))
+    expected = None if matching is None else [list(e) for e in matching.edge_list]
+    assert payload["certificate"].get("matching") == expected
+
+
+@pytest.mark.parametrize(
+    "host, why",
+    [
+        (Graph(14, RINGED_SPIDER_13.edges() + ((9, 13),)), "an induced S(K_{1,4})"),
+        (
+            Graph(13, [(0, 1), (0, 6), (0, 8), (1, 2), (1, 3), (2, 4), (2, 5), (3, 8), (3, 9),
+                       (4, 10), (5, 11), (6, 7), (8, 11), (9, 12)]),
+            "no saturating centre matching",
+        ),
+    ],
+    ids=["ringed-spider-with-tail", "unmatched-centres"],
+)
+def test_host_with_a_cutvertex_outside_the_hypotheses_is_no_verdict(capsys, tmp_path, host, why):
+    code = main(["build", _host_file(tmp_path, "h.el", host), "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == f"error: undetermined: the host has a cutvertex and {why}\n"
 
 
 def test_square_roundtrip(capsys, p5):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    EAR_HOST_17,
+    RINGED_SPIDER_13,
     builder_matching,
     chorded_host_corpus,
     frame_depth,
@@ -22,6 +24,7 @@ from trestles.general_trestle import _bounded_alpha, build_general_trestle, path
 from trestles.graphs import (
     DomainError,
     Graph,
+    Undetermined,
     complete_graph,
     cutvertices,
     cycle_graph,
@@ -172,13 +175,13 @@ def test_every_small_labelled_host_matches_golden_digest():
 def test_two_connected_host_builds_no_level(monkeypatch):
     # C_7, and a 2-connected ear host: the cycle 0..5 with the ear 1-6-7-4
     made = []
-    init = general_trestle._Level.__init__
+    for cls in (general_trestle._Level, general_trestle._Levels):
 
-    def counting_init(self, *args):
-        made.append(args)
-        init(self, *args)
+        def counting_init(self, *args, init=cls.__init__):
+            made.append(args)
+            init(self, *args)
 
-    monkeypatch.setattr(general_trestle._Level, "__init__", counting_init)
+        monkeypatch.setattr(cls, "__init__", counting_init)
     monkeypatch.setattr(general_trestle, "_level_hook", lambda *args: made.append(args))
     ear = Graph(8, [(i, (i + 1) % 6) for i in range(6)] + [(1, 6), (6, 7), (7, 4)])
     for g in (cycle_graph(7), ear):
@@ -188,6 +191,29 @@ def test_two_connected_host_builds_no_level(monkeypatch):
     # the same counter sees the levels of a host with a cutvertex
     build_general_trestle(path_graph(5), ())
     assert made
+
+
+def test_two_connected_host_outside_the_hypotheses_gets_its_hamilton_cycle():
+    assert theorem1_matching(EAR_HOST_17, centres(EAR_HOST_17, 3)) is None
+    assert not is_spider_free(RINGED_SPIDER_13, 4)
+    for g in (EAR_HOST_17, RINGED_SPIDER_13):
+        cert = build_general_trestle(g, None)
+        assert cert.matching_edges is None
+        assert cert.degrees() == [2] * g.n
+        assert verify_trestle(cert).passed()
+
+
+def test_host_with_a_cutvertex_outside_the_hypotheses_is_undetermined():
+    # a pendant vertex gives the ringed spider a cutvertex
+    ringed = Graph(14, RINGED_SPIDER_13.edges() + ((9, 13),))
+    with pytest.raises(Undetermined, match="induced S\\(K_\\{1,4\\}\\)"):
+        build_general_trestle(ringed, theorem1_matching(ringed, centres(ringed, 3)).edge_list)
+    with pytest.raises(Undetermined, match="no saturating centre matching"):
+        build_general_trestle(path_graph(5), None)
+    # a matching that breaks the pairing is still a usage error
+    with pytest.raises(DomainError) as info:
+        build_general_trestle(spider(3), ())
+    assert not isinstance(info.value, Undetermined)
 
 
 def test_is_path_is_the_degree_scan(monkeypatch):

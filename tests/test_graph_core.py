@@ -112,6 +112,26 @@ def test_edgelist_errors_report_the_offending_line(data, offset):
     assert info.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "data, offset, message",
+    [
+        # Python's int would read these as 10, the edge 0-1 and 1-2
+        (b"n=1_0\n0 1\n", 0, "bad vertex-count header"),
+        (b"n=3\n+0 +1\n", 4, "non-integer vertex id"),
+        (b"n=3\n0 1\n1 2_0\n", 8, "non-integer vertex id"),
+        (b"n=3\n0 1\n-1 2\n", 8, "negative vertex id"),
+        (b"n= 3\n0 1\n", 0, "bad vertex-count header"),
+        # a second header no longer replaces the first
+        (b"n=3\n0 1\nn=5\n3 4\n", 8, "second vertex-count header"),
+        (b"n=3\n0 1\nn=3\n", 8, "second vertex-count header"),
+    ],
+)
+def test_edgelist_takes_only_ascii_digits_and_one_header(data, offset, message):
+    with pytest.raises(FormatError, match=message) as info:
+        read_edgelist(data)
+    assert info.value.offset == offset
+
+
 def test_edgelist_error_messages():
     with pytest.raises(FormatError, match="bad vertex-count header"):
         read_edgelist(b"n=-3\n0 1\n")

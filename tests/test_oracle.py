@@ -193,6 +193,24 @@ def test_free_tree_stream_matches_golden_digest():
     assert h.hexdigest() == FREE_TREE_DIGEST
 
 
+def _largest_level_sequence(t: Tree) -> list[int]:
+    """The largest preorder level sequence of t over every root, by brute
+    force over the roots; at each vertex the children's sequences come
+    in descending order, which makes each rooting's sequence largest."""
+
+    def listed(v: int, up: int, level: int) -> list[int]:
+        kids = sorted((listed(w, v, level + 1) for w in t.adj[v] if w != up), reverse=True)
+        return [level] + [x for kid in kids for x in kid]
+
+    return max(listed(r, -1, 0) for r in range(t.n))
+
+
+def test_free_tree_stream_descends_by_largest_level_sequence():
+    for n in range(1, 11):
+        keys = [_largest_level_sequence(t) for t in enumerate_trees(n)]
+        assert all(a > b for a, b in zip(keys, keys[1:])), n
+
+
 def test_tree_canonical_forms_match_golden_digest():
     h = hashlib.sha256()
     for t in _relabelled_random_trees(seed=2020, count=400, max_n=200):
