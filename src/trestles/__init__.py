@@ -10,6 +10,7 @@ brute-force oracles for cross-validation.
 
 from .graphs import (
     Digraph,
+    Disconnected,
     DomainError,
     FormatError,
     Graph,
@@ -43,6 +44,7 @@ from .verify import TrestleCertificate, VerificationReport, verify_trestle
 __all__ = [
     "ArcAssignment",
     "Digraph",
+    "Disconnected",
     "DomainError",
     "FFamilyMember",
     "FormatError",

@@ -1,9 +1,11 @@
 """Command-line surface for batch use.
 
 Exit codes: 0 success or feasible, 1 infeasible / obstruction found (a
-verdict, with the witness on stdout), 2 usage error, 3 internal fault
-(an invariant violation, or any other unexpected exception, reported
-on stderr with its traceback), 4 no verdict (a search budget
+verdict, with the witness on stdout, or with the reason ``host graph
+is not connected`` from ``build``: a disconnected square has no
+2-connected spanning subgraph), 2 usage error, 3 internal fault (an
+invariant violation, or any other unexpected exception, reported on
+stderr with its traceback), 4 no verdict (a search budget
 exhausted, a ``derive-patterns`` search undetermined within its
 ``--max-n``, or a non-tree ``build`` host with a cutvertex outside the
 theorem's hypotheses: an induced S(K_{1,4}) or no saturating centre
@@ -22,6 +24,7 @@ from multiprocessing import Pool
 
 from .general_trestle import build_general_trestle
 from .graphs import (
+    Disconnected,
     DomainError,
     FormatError,
     Graph,
@@ -95,21 +98,27 @@ def _cmd_decide(args) -> int:
 
 def _cmd_build(args) -> int:
     g = _read_input(args.input, args.format)
-    if len(g.edges()) == g.n - 1:
-        t = as_tree(g)
-        assignment = decide_tree_trestle(t, args.k)
-        if assignment is None:
-            _emit({"feasible": False, "reason": "no feasible arc assignment"})
-            return 1
-        cert = build_tree_trestle(t, args.k, assignment)
-    else:
-        if args.k != 3:
-            raise DomainError("non-tree hosts are built with --k 3")
-        # the builder settles 2-connectivity first: a 2-connected host is
-        # built with or without the matching, and one with a cutvertex and
-        # no matching has no verdict
-        matching = theorem1_matching(g, centres(g, 3))
-        cert = build_general_trestle(g, None if matching is None else matching.edge_list)
+    try:
+        if len(g.edges()) == g.n - 1:
+            t = as_tree(g)
+            assignment = decide_tree_trestle(t, args.k)
+            if assignment is None:
+                _emit({"feasible": False, "reason": "no feasible arc assignment"})
+                return 1
+            cert = build_tree_trestle(t, args.k, assignment)
+        else:
+            if args.k != 3:
+                raise DomainError("non-tree hosts are built with --k 3")
+            # the builder settles 2-connectivity first: a 2-connected host
+            # is built with or without the matching, and one with a
+            # cutvertex and no matching has no verdict
+            matching = theorem1_matching(g, centres(g, 3))
+            cert = build_general_trestle(g, None if matching is None else matching.edge_list)
+    except Disconnected:
+        # from the connectivity test that as_tree or the builder's DFS
+        # runs in any case
+        _emit({"feasible": False, "reason": "host graph is not connected"})
+        return 1
     _emit({"feasible": True, "certificate": cert.to_jsonable()})
     if args.dot:
         _write_dot(args.dot, square(g))

@@ -68,6 +68,32 @@ neighbour is the gate, and a vertex next to another neighbour of c is
 itself on a dropped edge; so only the gate, the branch's ends of
 dropped edges and the neighbours of these are re-tested.
 
+Path branches.  A listed branch that no dropped edge meets and whose
+vertices all have degree at most 2 in the level is solved at its cut,
+without a level.  It is a whole component of the level minus c with a
+single gate, so with c and the dummy it is the path far end .. gate,
+c, dummy, and the level's neighbour lists of its vertices are the
+branch's own.  Opened, it would be a path level, answered by
+``_path_square_cycle`` over its vertices in ascending order; ``close``
+runs that function on the same ascending order (the branch with c in
+its place, then the dummy) over the same lists, with c's cut to the
+gate and the dummy, so the cycle is the one the level would give.  No
+vertex of degree at most 2 centres a spider, so the branch has no
+centre (``close`` checks that) and its gate is not engaged; the
+re-tests and matching changes of an opened branch would all be undone
+when it closed.  The cycle's edges away from c and the dummy go to the
+result, and their ends at c and the dummy are the entry set, which
+``enter`` contracts and checks as it does for an opened branch.
+
+Joins.  A join spans a linear forest over the contracted pair graph:
+one vertex per branch, two joined when their pairs meet in the level.
+That graph is fixed by the pair count, its edges and the anchored
+pair, and ``_bounded_alpha`` and ``linear_forest_for`` read nothing
+else, so ``_Levels.joins`` keeps both answers per key for the build.
+Only a key met for the first time builds a ``Graph`` and solves it;
+each join still checks the independence bound and expands its own
+pairs.  The memo lives and dies with the build's state.
+
 Cutvertices.  A branch that no dropped edge meets is a whole component
 of the level minus c.  The rest of the level meets it only at c and
 stays connected to c when a vertex v of the branch is removed, so v
@@ -112,6 +138,7 @@ from bisect import insort
 from heapq import heapify, heappop
 
 from .graphs import (
+    Disconnected,
     DomainError,
     Graph,
     InternalInvariantError,
@@ -127,7 +154,8 @@ from .patterns import NeighbourSets, centre_witness, centres, spider_witness
 from .verify import TrestleCertificate, verify_trestle
 
 # when set, called as hook(adjacency, vertices, view, centres, cuts) on
-# every branch as it opens, with the shared adjacency, the branch's
+# every branch as it opens (path branches closed at their cut open no
+# level), with the shared adjacency, the branch's
 # graph, its centre set after the re-tests and its inherited cutvertices
 # (None when a DFS will find them); tests compare them with full searches
 _level_hook = None
@@ -319,6 +347,9 @@ class _Levels:
         self.centre = [v in x for v in range(g.n)]
         self.partner = partner
         self.result: list[set[int]] = [set() for _ in range(g.n)]
+        # (pair count, contracted edges, anchor) -> (bounded independence
+        # number, linear forest paths) of each contracted pair graph met
+        self.joins: dict[tuple, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
     def dummy(self, depth: int) -> int:
         """The id of the dummy of a branch at ``depth``, with its slots."""
@@ -600,7 +631,7 @@ class _Cut:
     at least 3.
     ``solve`` opens each branch as a level in turn, reads its solution
     into a contracted pair and closes it, and spans the theta graph once
-    every branch is in.
+    every branch is in; a path branch is solved and closed at once.
     """
 
     def __init__(
@@ -630,13 +661,55 @@ class _Cut:
 
     def solve(self):
         """Yield each branch as a level with its depth, in order; take
-        the branch's solution when resumed, and join after the last."""
+        the branch's solution when resumed, and join after the last.  A
+        path branch is closed in place and yields nothing."""
         depth = self.depth + 1
+        view = self.level.view
         for _, comp, ends, comp_cuts in self.branches:
+            if comp is not None and not ends and all(len(view[v]) <= 2 for v in comp):
+                self.close(comp, depth)
+                continue
             level, opened = self.open(comp, ends, comp_cuts, depth)
             yield level, depth
             self.take(*opened)
         self.join()
+
+    def _gate(self, comp: list[int]) -> int:
+        gates = [v for v in comp if v in self.nc]
+        if len(gates) != 1:
+            raise InternalInvariantError("branch meets the neighbourhood more than once")
+        return gates[0]
+
+    def close(self, comp: list[int], depth: int) -> None:
+        """Solve a path branch without opening it: the Hamilton cycle of
+        the square of the path far end .. gate, c, dummy, whose edges at c
+        and the dummy give the entry pair and whose others go to the
+        result.  The branch has no dropped edge, and no vertex of degree
+        3 or more, so it has no centre either."""
+        lv, c = self.levels, self.c
+        u_i = self._gate(comp)
+        centre = lv.centre
+        if any(centre[v] for v in comp):
+            raise InternalInvariantError("centre on a path branch")
+        y = lv.dummy(depth)
+        # the branch's neighbour lists are the level's, which it takes
+        # over as an opened branch would
+        take_list = self.level.view.pop
+        adj = {v: take_list(v) for v in comp}
+        adj[c] = [u_i, y]
+        adj[y] = [c]
+        vs = comp
+        insort(vs, c)
+        vs.append(y)
+        at_ends: set[int] = set()
+        inner = []
+        for e in _path_square_cycle(vs, adj):
+            if c in e or y in e:
+                at_ends.update(e)
+            else:
+                inner.append(e)
+        lv.add(inner)
+        self.enter(u_i, at_ends - {c, y}, None)
 
     def open(
         self, comp: list[int] | None, ends: list[int], comp_cuts: list[int], depth: int
@@ -663,10 +736,7 @@ class _Cut:
             level.narrow(c, u_i, parked, lost, y)
             restore = parked
         else:
-            gates = [v for v in comp if v in nc]
-            if len(gates) != 1:
-                raise InternalInvariantError("branch meets the neighbourhood more than once")
-            u_i = gates[0]
+            u_i = self._gate(comp)
             lv.marks += 1
             mark = lv.marks
             view = _View(lv.adj, label, mark)
@@ -766,6 +836,12 @@ class _Cut:
             result[w].discard(y)
         at_c.clear()
         at_y.clear()
+        self.enter(u_i, o_i, engaged_to)
+
+    def enter(self, u_i: int, o_i: set[int], engaged_to: int | None) -> None:
+        """Contract a branch's entry set ``o_i``, its solution's ends at
+        c and the dummy, into the pair (gate, lowest other entry); a third
+        entry takes an engagement edge to the gate's old partner."""
         if not (2 <= len(o_i) <= 3) or u_i not in o_i:
             raise InternalInvariantError(f"entry set {sorted(o_i)} is malformed")
         w_i = min(o_i - {u_i})
@@ -776,9 +852,10 @@ class _Cut:
         if rest:
             if engaged_to is None:
                 raise InternalInvariantError("three entries but the gate is not engaged")
+            lv = self.levels
             v_i = rest.pop()
             e_i = _norm(v_i, engaged_to)
-            if not _within_two(_View(lv.adj, label, mark), *e_i):
+            if not _within_two(_View(lv.adj, lv.label, self.mark), *e_i):
                 raise InternalInvariantError("engagement edge is not in the square")
             self.extra_edges.append(e_i)
 
@@ -788,31 +865,29 @@ class _Cut:
         lv = self.levels
         g = _View(lv.adj, lv.label, self.mark)
         c, nc, pairs = self.c, self.nc, self.pairs
-        contracted = Graph(
-            len(pairs),
-            [
-                (i, j)
-                for i in range(len(pairs))
-                for j in range(i + 1, len(pairs))
-                if any(
-                    g.has_edge(p, q)
-                    for p in pairs[i]
-                    for q in pairs[j]
-                )
-            ],
+        k = len(pairs)
+        edges = tuple(
+            (i, j)
+            for i in range(k)
+            for j in range(i + 1, k)
+            if any(g.has_edge(p, q) for p in pairs[i] for q in pairs[j])
         )
-        alpha = _bounded_alpha(contracted)
+        a_vertex = lv.partner.get(c)
+        anchor = tuple(i for i, (u, _) in enumerate(pairs) if u == a_vertex)
+        key = (k, edges, anchor)
+        solved = lv.joins.get(key)
+        if solved is None:
+            contracted = Graph(k, edges)
+            solved = lv.joins[key] = (
+                _bounded_alpha(contracted),
+                linear_forest_for(contracted, set(anchor)).paths,
+            )
+        alpha, paths = solved
         if alpha > 3:
             raise InternalInvariantError("contracted pair graph has independence number > 3")
-        a_vertex = lv.partner.get(c)
         if alpha == 3 and a_vertex is None:
             raise InternalInvariantError("three independent pairs but the cutvertex is unmatched")
-
-        anchor = {i for i, (u, _) in enumerate(pairs) if u == a_vertex}
-        forest = linear_forest_for(contracted, anchor)
-        expanded = [
-            _expand_pairs(p, pairs, g, nc, a_vertex) for p in forest.paths
-        ]
+        expanded = [_expand_pairs(p, pairs, g, nc, a_vertex) for p in paths]
 
         w_set = {v for pair in pairs for v in pair}
         p_rest = sorted(v for v in nc if v not in w_set)
@@ -890,10 +965,10 @@ class _Cut:
 def build_general_trestle(g: Graph, matching_edges) -> TrestleCertificate:
     """3-trestle certificate with unmatched vertices of degree exactly 2.
 
-    The host must be connected, with at least 3 vertices, and one DFS
-    settles whether it has a cutvertex.  A 2-connected host gets the
-    Hamilton cycle of its square (Fleischner's theorem), whatever its
-    centres; ``matching_edges``, a matching of the host or None, is then
+    The host must have at least 3 vertices, and one DFS settles whether
+    it is connected (Disconnected if not) and has a cutvertex.  A
+    2-connected host gets the Hamilton cycle of its square (Fleischner's
+    theorem), whatever its centres; ``matching_edges``, a matching of the host or None, is then
     only carried into the certificate.  A host with a cutvertex is built
     by the inductive proof, whose hypotheses are that the host is
     S(K_{1,4})-free and that the matching pairs each centre of an
@@ -906,7 +981,7 @@ def build_general_trestle(g: Graph, matching_edges) -> TrestleCertificate:
         raise DomainError("need at least 3 vertices")
     cuts = connected_cutvertices(g)
     if cuts is None:
-        raise DomainError("host graph is not connected")
+        raise Disconnected("host graph is not connected")
     edges = None
     if matching_edges is not None:
         edges = tuple(sorted({_norm(u, v) for u, v in matching_edges}))

@@ -31,6 +31,12 @@ class Undetermined(DomainError):
     range it was given, or the input lies outside a theorem's hypotheses."""
 
 
+class Disconnected(DomainError):
+    """The host graph is not connected.  The square of a disconnected
+    graph has no 2-connected spanning subgraph, so ``build`` answers it
+    with a verdict."""
+
+
 class InternalInvariantError(RuntimeError):
     """A construction violated an invariant its theory guarantees.
 
@@ -56,9 +62,14 @@ def _normalize_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int
 
 
 class Graph:
-    """Simple undirected graph with sorted adjacency lists."""
+    """Simple undirected graph with sorted adjacency lists.
 
-    __slots__ = ("n", "adj", "_edges")
+    ``_centres`` holds (k, centres of induced S(K_{1,k})) once
+    ``patterns.centres`` has searched for one k; a graph never changes,
+    so the set never goes stale.
+    """
+
+    __slots__ = ("n", "adj", "_edges", "_centres")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -74,6 +85,7 @@ class Graph:
         # the first end, in order of the second): already ascending
         self.adj = tuple(tuple(a) for a in adj)
         self._edges = tuple(es)
+        self._centres = None
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self._edges
@@ -106,8 +118,10 @@ class Graph:
 
 
 def _require_tree(g: Graph) -> None:
-    if g.num_edges() != g.n - 1 or not is_connected(g):
+    if g.num_edges() != g.n - 1:
         raise DomainError("not a tree: need connectivity and exactly n-1 edges")
+    if not is_connected(g):
+        raise Disconnected("not a tree: need connectivity and exactly n-1 edges")
 
 
 class Tree(Graph):
@@ -128,8 +142,8 @@ class Tree(Graph):
     @classmethod
     def _from_graph(cls, g: Graph) -> "Tree":
         """``g`` as a tree that shares every :class:`Graph` slot (the
-        normalised edges and sorted adjacency) instead of rebuilding
-        them; DomainError if ``g`` is not a tree."""
+        normalised edges, sorted adjacency and any centres found)
+        instead of rebuilding them; DomainError if ``g`` is not a tree."""
         _require_tree(g)
         t = object.__new__(cls)
         for name in Graph.__slots__:
@@ -159,6 +173,7 @@ class Tree(Graph):
         t.n = n
         t.adj = tuple(map(tuple, adj))
         t._edges = tuple(sorted(zip(ups, range(1, n))))
+        t._centres = None
         t._profile = None
         return t
 

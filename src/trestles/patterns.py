@@ -123,13 +123,23 @@ def centre_witness(g: Graph, v: int, k: int) -> SpiderEmbedding | None:
     return spider_witness(g.adj, v, k, NeighbourSets(g.adj))
 
 
-def centres(g: Graph, k: int) -> set[int]:
-    """All centres of induced copies of S(K_{1,k})."""
+def centres(g: Graph, k: int) -> frozenset[int]:
+    """All centres of induced copies of S(K_{1,k}).
+
+    The graph keeps the last k searched with its centres, so a second
+    call for the same k (the CLI's, then the general builder's) does no
+    search.
+    """
     if k < 2:
         raise DomainError("spider patterns need k >= 2")
+    known = g._centres
+    if known is not None and known[0] == k:
+        return known[1]
     adj = g.adj
     sets = [set(a) for a in adj]
-    return {v for v in range(g.n) if spider_witness(adj, v, k, sets) is not None}
+    found = frozenset(v for v in range(g.n) if spider_witness(adj, v, k, sets) is not None)
+    g._centres = (k, found)
+    return found
 
 
 def is_spider_free(g: Graph, k: int) -> bool:

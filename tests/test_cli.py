@@ -98,6 +98,25 @@ def test_host_with_a_cutvertex_outside_the_hypotheses_is_no_verdict(capsys, tmp_
     assert captured.err == f"error: undetermined: the host has a cutvertex and {why}\n"
 
 
+@pytest.mark.parametrize(
+    "host",
+    [
+        Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        # n - 1 edges, so the tree path's connectivity test finds it
+        Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+    ],
+    ids=["two-triangles", "triangle-and-edge"],
+)
+def test_disconnected_host_is_a_verdict(capsys, tmp_path, host):
+    # the square of a disconnected host has no 2-connected spanning
+    # subgraph for any k
+    code = main(["build", _host_file(tmp_path, "h.el", host), "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"feasible": False, "reason": "host graph is not connected"}
+    assert captured.err == ""
+
+
 def test_square_roundtrip(capsys, p5):
     code, out = run(capsys, "square", p5)
     assert code == 0

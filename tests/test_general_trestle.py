@@ -33,6 +33,7 @@ from trestles.graphs import (
     square,
 )
 from trestles.matching_flow import theorem1_matching
+from trestles.path_cover import linear_forest_for
 from trestles.patterns import centres, is_spider_free
 from trestles.verify import TrestleCertificate, verify_trestle
 
@@ -247,6 +248,65 @@ def test_deep_comb_builds_under_a_low_recursion_limit():
     assert _digest([cert]) == COMB_300_DIGEST
 
 
+def test_path_branches_open_no_level(monkeypatch):
+    # every leg of the comb is a path branch, closed at its cut; only
+    # the root and the spine's branches are levels
+    made, closed = [], []
+    init, close = general_trestle._Level.__init__, general_trestle._Cut.close
+
+    def counting_init(self, *args):
+        init(self, *args)
+        made.append(self.is_path())
+
+    def counting_close(self, comp, depth):
+        closed.append(len(comp))
+        close(self, comp, depth)
+
+    monkeypatch.setattr(general_trestle._Level, "__init__", counting_init)
+    monkeypatch.setattr(general_trestle._Cut, "close", counting_close)
+    comb = path_ordered_comb(300)
+    cert = build_general_trestle(comb, builder_matching(comb).edge_list)
+    assert _digest([cert]) == COMB_300_DIGEST
+    assert made and True not in made
+    assert len(closed) >= 298
+
+
+def test_join_memo_matches_fresh_solves(monkeypatch):
+    states, joins = [], []
+    build, join = general_trestle._Levels.build, general_trestle._Cut.join
+
+    def recording_build(self, cuts):
+        assert self.joins == {}
+        states.append(self)
+        return build(self, cuts)
+
+    def counting_join(self):
+        joins.append(len(self.pairs))
+        join(self)
+
+    monkeypatch.setattr(general_trestle._Levels, "build", recording_build)
+    monkeypatch.setattr(general_trestle._Cut, "join", counting_join)
+    hosts = list(chorded_host_corpus(seed=11))
+    for g, m in hosts:
+        build_general_trestle(g, m.edge_list)
+    keys = []
+    for lv in states:
+        for (k, edges, anchor), (alpha, paths) in lv.joins.items():
+            contracted = Graph(k, edges)
+            assert alpha == _bounded_alpha(contracted)
+            assert paths == linear_forest_for(contracted, set(anchor)).paths
+            keys.append(anchor)
+    # most joins find their contracted pair graph already solved, and
+    # the anchored pair is part of the key
+    assert 0 < len(keys) < len(joins) // 2
+    assert () in keys and any(keys)
+    # a second build of a host starts from an empty memo of its own
+    g, m = hosts[-1]
+    build_general_trestle(g, m.edge_list)
+    assert len(states) == len(hosts) + 1
+    assert states[-1] is not states[-2] and states[-1].joins == states[-2].joins
+
+
 @given(prufer_trees(), st.integers(0, 3), st.randoms(use_true_random=False))
 def test_chorded_prufer_hosts_build_with_exact_degrees(t, chords, rng):
     g = sprinkle_chords(rng, t, chords)
@@ -323,9 +383,10 @@ def test_branch_views_match_full_searches(monkeypatch):
     )
     for g, m in hosts:
         build_general_trestle(g, m.edge_list)
-    # 4956 branches, 4753 of them inheriting their cutvertices, and 2256
-    # centres kept in all; both kinds of branch occur
-    assert hook.levels > 4000 and hook.levels // 2 < hook.inherited < hook.levels
+    # 2428 branches opened as levels, 2225 of them inheriting their
+    # cutvertices, and 2256 centres kept in all; both kinds of branch
+    # occur.  Path branches are closed at their cut and open no level
+    assert hook.levels > 2000 and hook.levels // 2 < hook.inherited < hook.levels
     assert hook.retained > 1000
 
 
@@ -347,7 +408,8 @@ def test_centre_across_a_dropped_edge_is_re_tested(monkeypatch):
     # has the tail 0-9-10; the edge 5-6 closes the cycle last, so the
     # spanning tree drops it.  Vertex 5 centres the spider with arms
     # 3-1, 6-4 and 7-8, and loses the arm 6-4 in its branch, two steps
-    # away from the gate 1
+    # away from the gate 1.  The tail's branch 9-10 is a path, closed at
+    # the cut without a level
     g = Graph(
         11,
         [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6), (5, 7), (7, 8), (0, 9), (9, 10)],
@@ -356,11 +418,11 @@ def test_centre_across_a_dropped_edge_is_re_tested(monkeypatch):
     hook = _FullSearch()
     monkeypatch.setattr(general_trestle, "_level_hook", hook)
     build_general_trestle(g, builder_matching(g).edge_list)
-    assert hook.levels == 3 and hook.retained == 0
+    assert hook.levels == 2 and hook.retained == 0
     # matched to 6, vertex 5 makes the tree take 5-6, so 4-6 is dropped
     # instead and 5 loses the same arm as a neighbour of a dropped edge
     build_general_trestle(g, [(0, 9), (5, 6)])
-    assert hook.levels == 8 and hook.retained == 0
+    assert hook.levels == 5 and hook.retained == 0
 
 
 def test_comb_builds_no_graph_per_level(monkeypatch):

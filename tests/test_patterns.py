@@ -3,6 +3,8 @@ import json
 
 from helpers import chorded_host_corpus, random_red_graphs
 
+from trestles import patterns
+from trestles.general_trestle import build_general_trestle
 from trestles.graphs import Graph, Tree, path_graph, spider, square
 from trestles.patterns import (
     centre_witness,
@@ -38,6 +40,29 @@ def test_square_has_no_induced_spider_witness_by_accident():
     # the square of a spider is not the spider; centre check must use
     # induced embeddings, and the square's centre is no longer a 3-centre
     assert centres(square(spider(3)), 3) == set()
+
+
+def test_centres_are_searched_once_per_graph(monkeypatch):
+    # the CLI's centre search, then the general builder's, on one host:
+    # only the first runs a spider search over the host's adjacency
+    host, matching = next(iter(chorded_host_corpus(seed=11)))
+    g = Graph(host.n, host.edges())  # the corpus searched the host already
+    searched = []
+    witness = patterns.spider_witness
+
+    def counting(adj, v, k, sets):
+        if adj is g.adj and k == 3:
+            searched.append(v)
+        return witness(adj, v, k, sets)
+
+    monkeypatch.setattr(patterns, "spider_witness", counting)
+    x = centres(g, 3)
+    assert len(searched) == g.n and x
+    assert centres(g, 3) is x
+    build_general_trestle(g, matching.edge_list)
+    assert len(searched) == g.n
+    # the set is kept for its k only: the host is S(K_{1,4})-free
+    assert centres(g, 4) == set()
 
 
 def test_tree_profile_counts():
