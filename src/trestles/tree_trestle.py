@@ -21,6 +21,17 @@ into a non-pivot carry 0, so a pivot gets one edge from each piece it
 borders and a(p, x) + 1 from the hub tree of each adjacent pivot x,
 which adds up to the degree law.  The Harary–Schwenk cycle of a path is
 ``path_square_cycle``'s cycle.
+
+The pass classifies every vertex once as a leaf, a pivot or an inner
+vertex (neither), and writes each edge once, as (low, high), into one
+list.  A hub tree comes from ``_degree_tree_edges``, the edge-level
+helper that ``realize_degree_tree`` wraps, named by N(x) directly.  A
+piece is walked once along its inner path from its lowest vertex, in
+both directions; the end with the lower first hair starts the cycle,
+and ``_emit_piece`` then walks the spine from that end, writing the
+cycle's edges as it goes, with no cycle list and no dummy vertex.  The
+sorted list becomes the certificate as it is, which ``verify_trestle``
+then checks from the host alone.
 """
 
 from __future__ import annotations
@@ -48,120 +59,164 @@ def realize_degree_tree(degrees: list[int]) -> Tree:
         raise DomainError("need at least two vertices")
     if any(d < 1 for d in degrees) or sum(degrees) != 2 * (m - 1):
         raise DomainError("degree sequence is not realizable as a tree")
-    hubs = [v for v in range(m) if degrees[v] >= 2]
-    leaves = [v for v in range(m) if degrees[v] == 1]
-    edges = []
-    remaining = list(degrees)
-    for a, b in zip(hubs, hubs[1:]):
-        edges.append((a, b))
-        remaining[a] -= 1
-        remaining[b] -= 1
-    if not hubs:
-        # only possible shape: a single edge
-        return Tree(2, [(0, 1)])
-    hub_iter = iter(hubs)
-    hub = next(hub_iter)
-    for leaf in leaves:
-        while remaining[hub] == 0:
-            hub = next(hub_iter)
-        edges.append((min(hub, leaf), max(hub, leaf)))
-        remaining[hub] -= 1
-    if any(remaining[v] != (1 if degrees[v] == 1 else 0) for v in range(m)):
-        raise InternalInvariantError("degree-tree realization bookkeeping failed")
-    return Tree(m, edges)
+    return Tree(m, _degree_tree_edges(range(m), degrees))
 
 
-def _piece_cycle(spine: list[int], hairs: list[list[int]], n: int) -> list[tuple[int, int]]:
-    """Harary–Schwenk cycle of a caterpillar square, minus dummy edges.
+def _degree_tree_edges(labels, degrees: list[int]) -> list[tuple[int, int]]:
+    """The edges of ``realize_degree_tree(degrees)``, each as (low, high),
+    with vertex i named ``labels[i]``; the degrees are not validated.
 
-    ``spine`` runs over the non-leaf vertices in path order and
-    ``hairs[i]`` holds the leaves of ``spine[i]`` in id order; ids >= n
-    are dummies.  The cycle runs from the lowest-id leaf at a spine end,
-    s_0, along the spine s_0 ... s_m to a leaf s_m at the other end,
-    visiting the even s_i and the hairs of the odd s_i, and comes back
-    over the odd s_i and the hairs of the even s_i; consecutive vertices
-    are at distance at most 2.
+    The hubs (degree >= 2) are chained in order; the chain leaves each
+    hub its degree minus 2 free slots, plus one at either end of the
+    chain, and the degree-1 vertices fill the slots in order.  A lone
+    degree-1 vertex serves as the hub when there is none (the
+    single-edge tree).
     """
-    if len(spine) == 1:
-        first, last = hairs[0][0], hairs[0][1]
-    else:
-        first, last = hairs[0][0], hairs[-1][0]
-        if last < first:
-            spine, hairs = spine[::-1], hairs[::-1]
-            first, last = last, first
-    hairs = [list(h) for h in hairs]
-    hairs[0].remove(first)
-    hairs[-1].remove(last)
-    forward = [first]
-    back: list[int] = []
-    for i, (s, hs) in enumerate(zip(spine, hairs), start=1):
-        if i % 2:
-            forward.extend(hs)
-            back.append(s)
+    hubs, spare, leaves = [], [], []
+    for u, d in zip(labels, degrees):
+        if d >= 2:
+            hubs.append(u)
+            spare.append(d - 2)
         else:
-            forward.append(s)
-            back.extend(hs)
-    (forward if len(spine) % 2 else back).append(last)
-    cycle = forward + back[::-1]
-    return [
-        (u, v) if u < v else (v, u)
-        for u, v in zip(cycle, cycle[1:] + cycle[:1])
-        if u < n and v < n
-    ]
+            leaves.append(u)
+    if not hubs:
+        hubs.append(leaves.pop(0))
+        spare.append(-1)
+    spare[0] += 1
+    spare[-1] += 1
+    slots = [u for u, s in zip(hubs, spare) for _ in range(s)]
+    if len(slots) != len(leaves):
+        raise InternalInvariantError("degree-tree realization bookkeeping failed")
+    pairs = list(zip(hubs, hubs[1:]))
+    pairs += zip(slots, leaves)
+    return [(u, v) if u < v else (v, u) for u, v in pairs]
 
 
-def _build_edges(t: Tree, a: ArcAssignment, is_pivot: list[bool]) -> set[tuple[int, int]]:
-    """Hub trees of the pivots plus the cycles of the pivot-free pieces."""
-    n, adj, values = t.n, t.adj, a.values
-    is_leaf = [len(nbrs) == 1 for nbrs in adj]
-    result: set[tuple[int, int]] = set()
+# vertex kinds; an inner vertex turns _DONE once its piece is walked
+_LEAF, _INNER, _PIVOT, _DONE = range(4)
 
-    for x in range(n):
-        if not is_pivot[x]:
-            continue
-        ordered = [u for u in adj[x] if not is_leaf[u]] + [u for u in adj[x] if is_leaf[u]]
-        hub_tree = realize_degree_tree(
-            [values.get((u, x), 0) + (2 if is_leaf[u] else 1) for u in ordered]
-        )
-        for p, q in hub_tree.edges():
-            gp, gq = ordered[p], ordered[q]
-            result.add((gp, gq) if gp < gq else (gq, gp))
 
-    # each piece's spine is a pivot copy, a path of non-pivot non-leaves,
-    # and another pivot copy, either copy possibly missing; the walk
-    # starts the path at an end, a vertex with at most one inner neighbour
-    inner = [
-        [] if is_leaf[v] or is_pivot[v]
-        else [w for w in adj[v] if not is_leaf[w] and not is_pivot[w]]
-        for v in range(n)
-    ]
-    seen = [False] * n
-    for v in range(n):
-        if seen[v] or is_leaf[v] or is_pivot[v] or len(inner[v]) > 1:
-            continue
-        path = [v]
-        seen[v] = True
-        prev = -1
-        while True:
-            nxt = [w for w in inner[path[-1]] if w != prev]
-            if not nxt:
+def _run(adj, kind: list[int], w: int) -> tuple[list[int], int]:
+    """The inner vertices from ``w`` to the end of its path, marked done,
+    and the pivot next to that end (-1 for none)."""
+    run = [w]
+    kind[w] = _DONE
+    while True:
+        pivot = -1
+        for u in adj[w]:
+            if kind[u] == _INNER:
                 break
-            prev = path[-1]
-            path.append(nxt[0])
-            seen[nxt[0]] = True
-        head = [w for w in adj[path[0]] if is_pivot[w]]
-        if len(path) == 1:
-            head, tail = head[:1], head[1:]
+            if kind[u] == _PIVOT:
+                pivot = u
         else:
-            tail = [w for w in adj[path[-1]] if is_pivot[w]]
-        spine = head + path + tail
-        hairs = (
-            [[n + p] for p in head]
-            + [[w for w in adj[u] if is_leaf[w]] for u in path]
-            + [[n + p] for p in tail]
-        )
-        result.update(_piece_cycle(spine, hairs, n))
-    return result
+            return run, pivot
+        kind[u] = _DONE
+        run.append(u)
+        w = u
+
+
+def _first_leaf(adj, kind: list[int], v: int) -> int:
+    for u in adj[v]:
+        if kind[u] == _LEAF:
+            return u
+    raise InternalInvariantError(f"spine end {v} has neither a pivot nor a leaf")
+
+
+def _emit_piece(path: list[int], head: int, tail: int, adj, kind: list[int], out: list) -> None:
+    """Append the non-dummy edges of one piece's Harary–Schwenk cycle.
+
+    The spine is ``head``, ``path``, ``tail`` (a missing pivot copy is
+    -1), from the end the cycle starts at.  The cycle is two chains
+    from s_0 to s_m.  X takes the hairs of s_0, in id order, and then,
+    for 0 < i < m, s_i at odd i and the hairs of s_i at even i; Y takes
+    the rest.  At s_m the chain that takes hairs takes them from the
+    second lowest on and then the lowest, and both chains end at s_m.
+    A pivot copy's one hair is its dummy, which cuts its chain, so
+    ``sp``, the end of the chain that takes the next spine vertex, is
+    -1 just after a head pivot; ``hp`` is the end of the other chain.
+    """
+    if head >= 0:
+        sp, hp = -1, head
+        middle = path
+    else:
+        s = path[0]
+        sp = hp = s
+        for h in adj[s]:
+            if kind[h] == _LEAF:
+                out.append((sp, h) if sp < h else (h, sp))
+                sp = h
+        middle = path[1:]
+    if tail < 0:
+        middle, s = middle[:-1], middle[-1]
+    for v in middle:
+        if sp >= 0:
+            out.append((sp, v) if sp < v else (v, sp))
+        for h in adj[v]:
+            if kind[h] == _LEAF:
+                out.append((hp, h) if hp < h else (h, hp))
+                hp = h
+        sp, hp = hp, v
+    if tail >= 0:
+        s = tail
+    else:
+        hairs = [h for h in adj[s] if kind[h] == _LEAF]
+        for h in hairs[1:] + hairs[:1]:
+            out.append((hp, h) if hp < h else (h, hp))
+            hp = h
+        out.append((hp, s) if hp < s else (s, hp))
+    if sp >= 0:
+        out.append((sp, s) if sp < s else (s, sp))
+
+
+def _build_edges(t: Tree, a: ArcAssignment, counts) -> list[tuple[int, int]]:
+    """Hub trees of the pivots plus the cycles of the pivot-free pieces,
+    each edge once as (low, high), in no particular order."""
+    n, adj, values = t.n, t.adj, a.values
+    kind = [
+        _PIVOT if c >= 3 else _INNER if len(nbrs) > 1 else _LEAF
+        for c, nbrs in zip(counts, adj)
+    ]
+    out: list[tuple[int, int]] = []
+    for x in range(n):
+        if kind[x] == _PIVOT:
+            nbrs = adj[x]
+            ordered = [u for u in nbrs if kind[u] != _LEAF] + [u for u in nbrs if kind[u] == _LEAF]
+            out += _degree_tree_edges(
+                ordered,
+                [values.get((u, x), 0) + (2 if kind[u] == _LEAF else 1) for u in ordered],
+            )
+        elif kind[x] == _INNER:
+            # x's piece: its path of inner vertices runs both ways from x,
+            # and a pivot next to an end of the path ends the spine there
+            kind[x] = _DONE
+            ends, pivots = [], []
+            for u in adj[x]:
+                if kind[u] == _INNER:
+                    ends.append(u)
+                elif kind[u] == _PIVOT:
+                    pivots.append(u)
+            head, tail = (pivots + [-1, -1])[:2]
+            path = [x]
+            if ends:
+                run, tail = _run(adj, kind, ends[0])
+                path += run
+                if len(ends) > 1:
+                    run, head = _run(adj, kind, ends[1])
+                    path = run[::-1] + path
+            elif head < 0:
+                # t is a star: the two lowest leaves start and end the cycle
+                cycle = [x, adj[x][0], *adj[x][2:], adj[x][1], x]
+                out += [(u, v) if u < v else (v, u) for u, v in zip(cycle, cycle[1:])]
+                continue
+            # the cycle starts at the end with the lower first hair: a
+            # pivot copy's dummy is n + the pivot, above every leaf
+            first = n + head if head >= 0 else _first_leaf(adj, kind, path[0])
+            last = n + tail if tail >= 0 else _first_leaf(adj, kind, path[-1])
+            if last < first:
+                path.reverse()
+                head, tail = tail, head
+            _emit_piece(path, head, tail, adj, kind, out)
+    return out
 
 
 def build_tree_trestle(t: Tree, k: int, a: ArcAssignment) -> TrestleCertificate:
@@ -174,9 +229,10 @@ def build_tree_trestle(t: Tree, k: int, a: ArcAssignment) -> TrestleCertificate:
     ins, outs = a.arc_sums()
     if not demands_met(k, counts, ins, outs):
         raise DomainError("assignment does not satisfy the demand system")
-    expected = [o + max(2, c) for o, c in zip(outs, counts)]
-    edges = _build_edges(t, a, [c >= 3 for c in counts])
-    cert = TrestleCertificate.of(t, edges, k, expected_degrees=expected)
+    expected = tuple([o + c if c > 2 else o + 2 for o, c in zip(outs, counts)])
+    edges = _build_edges(t, a, counts)
+    edges.sort()
+    cert = TrestleCertificate(t, tuple(edges), k, None, expected)
     report = verify_trestle(cert)
     if not report.passed():
         raise InternalInvariantError(

@@ -129,15 +129,22 @@ def random_caterpillar(rng: random.Random, n: int) -> Tree:
     return Tree(n, edges)
 
 
+def distance_two_pairs(g: Graph) -> list[tuple[int, int]]:
+    """The pairs u < x at distance exactly two in ``g``, in lexicographic
+    order: for each u, the neighbours of its neighbours above u that are
+    not its neighbours, so the work follows the edges, not all pairs."""
+    pairs = []
+    for u in range(g.n):
+        near = {x for w in g.adj[u] for x in g.adj[w] if x > u}
+        near.difference_update(g.adj[u])
+        pairs += [(u, x) for x in sorted(near)]
+    return pairs
+
+
 def sprinkle_chords(rng: random.Random, g: Graph, count: int) -> Graph:
     """Add up to count extra edges between vertices at distance two."""
     edges = set(g.edges())
-    candidates = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v) and any(w in g.adj[v] for w in g.adj[u])
-    ]
+    candidates = distance_two_pairs(g)
     rng.shuffle(candidates)
     edges.update(candidates[:count])
     return Graph(g.n, edges)

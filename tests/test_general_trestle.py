@@ -12,11 +12,15 @@ from helpers import (
     RINGED_SPIDER_13,
     builder_matching,
     chorded_host_corpus,
+    distance_two_pairs,
     frame_depth,
     matched_spider_free_instances,
     path_ordered_comb,
     prufer_trees,
+    random_bounded_tree,
+    random_caterpillar,
     sprinkle_chords,
+    subdivided_tree,
 )
 
 from trestles import general_trestle, graphs
@@ -305,6 +309,26 @@ def test_join_memo_matches_fresh_solves(monkeypatch):
     build_general_trestle(g, m.edge_list)
     assert len(states) == len(hosts) + 1
     assert states[-1] is not states[-2] and states[-1].joins == states[-2].joins
+
+
+def test_distance_two_pairs_match_the_pair_scan():
+    # the quadratic scan sprinkle_chords used to run; the same list in the
+    # same order keeps every seeded chorded host the same
+    def pair_scan(g):
+        return [
+            (u, v)
+            for u in range(g.n)
+            for v in range(u + 1, g.n)
+            if not g.has_edge(u, v) and any(w in g.adj[v] for w in g.adj[u])
+        ]
+
+    rng = random.Random(13)
+    hosts = [complete_graph(5), cycle_graph(6), EAR_HOST_17]
+    for n in (3, 10, 40, 120):
+        hosts += [random_bounded_tree(rng, n), random_caterpillar(rng, n)]
+        hosts.append(sprinkle_chords(rng, subdivided_tree(rng, n // 2 + 2), 1 + n // 20))
+    for g in hosts:
+        assert distance_two_pairs(g) == pair_scan(g)
 
 
 @given(prufer_trees(), st.integers(0, 3), st.randoms(use_true_random=False))

@@ -7,12 +7,13 @@ import pytest
 from helpers import random_bounded_tree, random_caterpillar
 from trestles import general_trestle, patterns, tree_trestle
 from trestles.general_trestle import path_square_cycle
-from trestles.graphs import DomainError, Tree, path_graph, spider
+from trestles.graphs import DomainError, InternalInvariantError, Tree, path_graph, spider
 from trestles.obstruction import check_obstruction
 from trestles.matching_flow import ArcAssignment, assignment_from_trestle
 from trestles.oracle import enumerate_trees
 from trestles.patterns import is_caterpillar, tree_profile
 from trestles.tree_trestle import (
+    _degree_tree_edges,
     build_tree_trestle,
     decide_tree_trestle,
     realize_degree_tree,
@@ -28,6 +29,12 @@ def test_realize_degree_tree():
         realize_degree_tree([1, 1, 1])  # wrong degree sum
     with pytest.raises(DomainError):
         realize_degree_tree([0, 2])
+    # the builder's helper takes its degrees unchecked, and its own
+    # bookkeeping catches a sequence that is no tree's
+    with pytest.raises(InternalInvariantError):
+        _degree_tree_edges(range(3), [1, 1, 1])
+    with pytest.raises(InternalInvariantError):
+        _degree_tree_edges(range(4), [3, 2, 1, 1])
 
 
 def test_decide_path_always_feasible():
@@ -112,6 +119,9 @@ def test_certificates_verify_independently():
 # trees with n = 11..200 at k = 3, 4, 5
 FREE_TREE_DIGEST = "df3479471963cbe46010e0d1f5c448b84a45fd61c5e33a20f61294f909133657"
 RANDOM_TREE_DIGEST = "23bf6dbdfb5ca80bfae631f22c88365e6289f864602f72197357e88c23832f27"
+# the same for every free tree with n = 11 and 12 at k = 2, 3, 4, taken
+# from the builder that emitted each piece cycle through a vertex list
+FREE_TREE_11_12_DIGEST = "4eb3304f54187d19780a65bc11800c7e53e2e12598eddd63f95d770d9a63b3dc"
 
 
 def _digest(pairs) -> str:
@@ -137,6 +147,8 @@ def test_certificates_match_golden_digest():
     assert _digest(free) == FREE_TREE_DIGEST
     corpus = [(t, k) for t in _random_trees() for k in (3, 4, 5)]
     assert _digest(corpus) == RANDOM_TREE_DIGEST
+    rest = [(t, k) for n in (11, 12) for t in enumerate_trees(n) for k in (2, 3, 4)]
+    assert _digest(rest) == FREE_TREE_11_12_DIGEST
 
 
 def test_path_certificate_is_the_path_square_cycle():
@@ -172,6 +184,21 @@ def test_one_verification_and_no_general_build(monkeypatch):
         calls.clear()
         cert = build_tree_trestle(t, k, decide_tree_trestle(t, k))
         assert calls == [cert]
+
+
+@pytest.mark.parametrize("damage", ["drop", "repeat"])
+def test_build_rejects_a_damaged_edge_list(monkeypatch, damage):
+    build_edges = tree_trestle._build_edges
+
+    def damaged(*args):
+        edges = build_edges(*args)
+        return edges[1:] if damage == "drop" else edges + edges[:1]
+
+    monkeypatch.setattr(tree_trestle, "_build_edges", damaged)
+    rng = random.Random(5)
+    for t, k in ((spider(3), 3), (path_graph(7), 2), (random_bounded_tree(rng, 40, maxdeg=4), 4)):
+        with pytest.raises(InternalInvariantError):
+            build_tree_trestle(t, k, decide_tree_trestle(t, k))
 
 
 def test_one_profile_count_per_tree(monkeypatch):

@@ -2,8 +2,10 @@ import hashlib
 import json
 import random
 
+from hypothesis import given, strategies as st
+
 from trestles.graphs import Graph, complete_graph, path_graph, spider
-from trestles.verify import TrestleCertificate, verify_trestle
+from trestles.verify import TrestleCertificate, _adjacency, _biconnected, verify_trestle
 
 
 def _cycle(edges_n):
@@ -81,6 +83,12 @@ def test_exact_degrees():
         expected_degrees=[3, 2, 2, 2, 1],
     )
     assert "exact_degrees" in verify_trestle(wrong).failed_checks()
+    # a list too short for the host is a failure, not an IndexError
+    edges = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)]
+    short = TrestleCertificate.of(p, edges, 2, expected_degrees=[2, 2, 2])
+    report = verify_trestle(short)
+    assert report.failed_checks() == ["exact_degrees"]
+    assert report.checks[-1].detail == "degree mismatches at: [3, 4]"
 
 
 def test_report_serialization():
@@ -96,6 +104,17 @@ def test_edge_at_distance_three_fails():
     assert report.failed_checks() == ["edges_in_square"]
     detail = [c for c in report.checks if c.check == "edges_in_square"][0].detail
     assert detail == "offending edges: [(0, 3)]"
+
+
+def test_repeated_edge_fails():
+    # TrestleCertificate.of drops repeats; a certificate built directly
+    # keeps them, and a repeated edge is not an edge of a simple graph
+    p = path_graph(5)
+    edges = ((0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (3, 4))
+    report = verify_trestle(TrestleCertificate(p, edges, 3))
+    assert report.failed_checks() == ["edges_in_square"]
+    detail = [c for c in report.checks if c.check == "edges_in_square"][0].detail
+    assert detail == "offending edges: [(3, 4)]"
 
 
 def test_large_star_certificate_verifies():
@@ -153,3 +172,51 @@ def test_broken_certificate_reports_are_pinned():
     assert {"fewer", "cutvertex", "not"} <= why
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == BROKEN_REPORTS_DIGEST
+
+
+@st.composite
+def edge_sets(draw):
+    """A vertex count 3 <= n <= 12 and a random edge set on it, each pair
+    kept with a drawn density between 1/8 and 3/4."""
+    n = draw(st.integers(3, 12))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    density = draw(st.integers(1, 6))
+    flags = draw(st.lists(st.integers(0, 7), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, f in zip(pairs, flags) if f < density]
+
+
+def _reach(n, edges, start, gone=-1):
+    """The vertices that ``start`` reaches once vertex ``gone`` is deleted."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        if gone not in (u, v):
+            adj[u].add(v)
+            adj[v].add(u)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return seen
+
+
+@given(edge_sets())
+def test_biconnected_matches_vertex_deletion(graph):
+    n, edges = graph
+    ok, why = _biconnected(n, _adjacency(n, edges))
+    connected = len(_reach(n, edges, 0)) == n
+    survives = [len(_reach(n, edges, 1 if v == 0 else 0, v)) == n - 1 for v in range(n)]
+    assert ok == (connected and all(survives))
+    if why == "not connected":
+        assert not connected
+    elif not ok:
+        # the search can meet a cutvertex of 0's component before it
+        # finds that the graph is not connected; deleting it splits
+        # that component either way
+        word, p = why.split()
+        p = int(p)
+        component = _reach(n, edges, 0)
+        rest = component - {p}
+        assert word == "cutvertex" and p in component
+        assert len(_reach(n, edges, min(rest), p)) < len(rest)
