@@ -2,8 +2,8 @@
 
 Exit codes: 0 success or feasible, 1 infeasible / obstruction found (a
 verdict, with the witness on stdout, or with the reason ``host graph
-is not connected`` from ``build``: a disconnected square has no
-2-connected spanning subgraph), 2 usage error, 3 internal fault (an
+is not connected`` from ``build`` at any k: a disconnected square has
+no 2-connected spanning subgraph), 2 usage error, 3 internal fault (an
 invariant violation, or any other unexpected exception, reported on
 stderr with its traceback), 4 no verdict (a search budget
 exhausted, a ``derive-patterns`` search undetermined within its
@@ -31,6 +31,7 @@ from .graphs import (
     InternalInvariantError,
     Undetermined,
     as_tree,
+    is_connected,
     read_graph,
     square,
     write_dot,
@@ -108,6 +109,9 @@ def _cmd_build(args) -> int:
             cert = build_tree_trestle(t, args.k, assignment)
         else:
             if args.k != 3:
+                # a disconnected host is a verdict at every k
+                if not is_connected(g):
+                    raise Disconnected("host graph is not connected")
                 raise DomainError("non-tree hosts are built with --k 3")
             # the builder settles 2-connectivity first: a 2-connected host
             # is built with or without the matching, and one with a

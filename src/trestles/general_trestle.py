@@ -71,28 +71,38 @@ dropped edges and the neighbours of these are re-tested.
 Path branches.  A listed branch that no dropped edge meets and whose
 vertices all have degree at most 2 in the level is solved at its cut,
 without a level.  It is a whole component of the level minus c with a
-single gate, so with c and the dummy it is the path far end .. gate,
-c, dummy, and the level's neighbour lists of its vertices are the
-branch's own.  Opened, it would be a path level, answered by
-``_path_square_cycle`` over its vertices in ascending order; ``close``
-runs that function on the same ascending order (the branch with c in
-its place, then the dummy) over the same lists, with c's cut to the
-gate and the dummy, so the cycle is the one the level would give.  No
-vertex of degree at most 2 centres a spider, so the branch has no
-centre (``close`` checks that) and its gate is not engaged; the
-re-tests and matching changes of an opened branch would all be undone
-when it closed.  The cycle's edges away from c and the dummy go to the
-result, and their ends at c and the dummy are the entry set, which
-``enter`` contracts and checks as it does for an opened branch.
+single gate, so with c and the dummy it is the path dummy, c, gate ..
+far end, and the level's neighbour lists of its vertices are the
+branch's own.  ``close`` walks it from the gate along those lists,
+taking them over as an opened branch would, puts the dummy and c in
+front, and hands the walk to ``_square_cycle``, which also answers
+path levels.  That cycle's edges do not depend on the direction of the
+walk, so they are the ones the branch would get as a level.  No vertex
+of degree at most 2 centres a spider, so the branch has no centre
+(``close`` checks that) and its gate is not engaged; the re-tests and
+matching changes of an opened branch would all be undone when it
+closed.  The cycle's edges away from c and the dummy go to the result,
+and their ends at c and the dummy are the entry set, which ``enter``
+contracts and checks as it does for an opened branch.
 
-Joins.  A join spans a linear forest over the contracted pair graph:
-one vertex per branch, two joined when their pairs meet in the level.
-That graph is fixed by the pair count, its edges and the anchored
-pair, and ``_bounded_alpha`` and ``linear_forest_for`` read nothing
-else, so ``_Levels.joins`` keeps both answers per key for the build.
-Only a key met for the first time builds a ``Graph`` and solves it;
-each join still checks the independence bound and expands its own
-pairs.  The memo lives and dies with the build's state.
+Joins.  A cut reads its level's graph through one ``_View``, built
+with the cut and read only while every branch is back in the level, by
+``enter`` and by the join.  A join spans a linear forest over the
+contracted pair graph: one vertex per branch, two joined when their
+pairs meet in the level.  One map from each pair vertex to its pair's
+index and one pass over those vertices' neighbour lists give its
+edges; the neighbourhood vertices outside the map are the leftover
+gates.  That graph is fixed by the pair count, its edges and the
+anchored pair, and ``_bounded_alpha`` and ``linear_forest_for`` read
+nothing else, so ``_Levels.joins`` keeps both answers per key for the
+build.  Only a key met for the first time builds a ``Graph`` and
+solves it; each join still checks the independence bound and expands
+its own pairs.  ``_expand_pairs`` orients a path's pairs by one
+ordered search: a backward pass keeps, at each position, the
+orientations from which the rest can still be walked in the square,
+and a forward pass takes the first that fits, so the result is the
+first feasible orientation in order.  The memo lives and dies with the
+build's state.
 
 Cutvertices.  A branch that no dropped edge meets is a whole component
 of the level minus c.  The rest of the level meets it only at c and
@@ -171,10 +181,11 @@ def _cycle_edges(order) -> set[tuple[int, int]]:
     }
 
 
-def _within_two(g, u: int, v: int) -> bool:
-    """Whether uv is an edge of the square of ``g``."""
-    nu = g.adj[u]
-    return u != v and (v in nu or not set(nu).isdisjoint(g.adj[v]))
+def _within_two(adj, u: int, v: int) -> bool:
+    """Whether uv is an edge of the square of the graph whose neighbour
+    lists ``adj`` gives."""
+    nu = adj[u]
+    return u != v and (v in nu or not set(nu).isdisjoint(adj[v]))
 
 
 def path_square_cycle(p: Graph) -> list[tuple[int, int]]:
@@ -195,15 +206,30 @@ def _path_square_cycle(vs, adj) -> list[tuple[int, int]]:
     """``path_square_cycle`` for the ascending vertices ``vs`` of a path
     on at least 2 vertices, with neighbour lists ``adj``."""
     start = next(v for v in vs if len(adj[v]) == 1)
-    order = [start]
-    prev = -1
-    while len(order) < len(vs):
-        cur = order[-1]
-        nxt = [w for w in adj[cur] if w != prev]
-        prev = cur
+    return _square_cycle(_walk([start], adj.__getitem__))
+
+
+def _walk(order: list[int], nbrs) -> list[int]:
+    """Extend ``order``, the start of a walk from one end of a path, to
+    the path's other end.  ``nbrs(v)`` gives v's neighbour list; it is
+    called once for order's last vertex and once for each one added."""
+    prev = order[-2] if len(order) > 1 else -1
+    while True:
+        nxt = [w for w in nbrs(order[-1]) if w != prev]
+        if not nxt:
+            return order
+        prev = order[-1]
         order.append(nxt[0])
-    seq = order[0::2] + order[1::2][::-1]
-    return sorted(_cycle_edges(seq))
+
+
+def _square_cycle(order: list[int]) -> list[tuple[int, int]]:
+    """The sorted edges of the Hamilton cycle of the square of the path
+    ``order``: the even positions in order, then the odd ones backwards.
+
+    They are the pairs two apart along the path plus its two end edges,
+    so the walk's direction does not change them.
+    """
+    return sorted(_cycle_edges(order[0::2] + order[1::2][::-1]))
 
 
 def _bounded_alpha(g: Graph, cap: int = 4) -> int:
@@ -233,70 +259,43 @@ def _bounded_alpha(g: Graph, cap: int = 4) -> int:
 def _expand_pairs(
     path: tuple[int, ...],
     pairs: list[tuple[int, int]],
-    g: Graph,
-    nc: set[int],
+    view,
     a_vertex: int | None,
 ) -> list[int]:
     """Replace each contracted pair by (u, w) or (w, u).
 
-    The result must be a path in the square of ``g``; one end must lie
-    in nc, and if a_vertex sits inside one of the pairs it is forced to
-    be the very first vertex of the sequence.
+    The result must be a path in the square of the graph ``view``; one
+    end must be a gate u (in c's neighbourhood), and if a_vertex sits
+    inside one of the pairs that pair comes first, led by a_vertex.
+    Otherwise the first pair is led by its gate or, failing that, the
+    last pair is trailed by its gate.  Each try takes the first
+    orientation in order, (u, w) before (w, u) at every position.
     """
-    seq = list(path)
-    a_pos = None
-    for pos, i in enumerate(seq):
-        if a_vertex is not None and a_vertex in pairs[i]:
-            a_pos = pos
-    if a_pos is not None:
-        if a_pos == len(seq) - 1:
-            seq.reverse()
-        elif a_pos != 0:
-            raise InternalInvariantError("anchored pair is not at a path end")
-
-    options = []
-    for i in seq:
-        u, w = pairs[i]
-        options.append([(u, w), (w, u)])
-    if a_pos is not None:
-        u, w = pairs[seq[0]]
-        first = (a_vertex, w if a_vertex == u else u)
-        options[0] = [first]
-
-    # an nc-end exists iff the first pair leads with u (always in nc) or
-    # the last pair trails with u; the anchored case has a in front
-    attempts: list[tuple[int | None, int | None]]
-    if a_pos is not None:
-        attempts = [(None, None)]
+    seq = [pairs[i] for i in path]
+    held = [a_vertex in pair for pair in seq]
+    if any(held[1:-1]):
+        raise InternalInvariantError("anchored pair is not at a path end")
+    if held[-1]:
+        seq.reverse()
+    options = [[(u, w), (w, u)] for u, w in seq]
+    if a_vertex in seq[0]:
+        u, w = seq[0]
+        tries = [[[(a_vertex, w if a_vertex == u else u)]] + options[1:]]
     else:
-        attempts = [(0, None), (None, 1)]
-    for first_forced, last_forced in attempts:
-        opts = [list(o) for o in options]
-        if first_forced is not None:
-            opts[0] = [options[0][first_forced]]
-        if last_forced is not None:
-            opts[-1] = [options[-1][last_forced]]
-        feas = [[False] * len(opts[p]) for p in range(len(seq))]
-        feas[-1] = [True] * len(opts[-1])
-        for p in range(len(seq) - 2, -1, -1):
-            for o, (_, y) in enumerate(opts[p]):
-                feas[p][o] = any(
-                    feas[p + 1][o2] and _within_two(g, y, opts[p + 1][o2][0])
-                    for o2 in range(len(opts[p + 1]))
-                )
-        if not any(feas[0]):
+        tries = [[options[0][:1]] + options[1:], options[:-1] + [options[-1][1:]]]
+    for opts in tries:
+        # backwards, keep the options from which the rest can be walked
+        # in the square; forwards, take the first one that fits
+        live = [opts[-1]]
+        for here in reversed(opts[:-1]):
+            firsts = [x for x, _ in live[-1]]
+            live.append([o for o in here if any(_within_two(view, o[1], x) for x in firsts)])
+        live.reverse()
+        if not live[0]:
             continue
-        out: list[int] = []
-        choice = next(o for o in range(len(opts[0])) if feas[0][o])
-        out.extend(opts[0][choice])
-        for p in range(1, len(seq)):
-            prev_last = out[-1]
-            choice = next(
-                o
-                for o in range(len(opts[p]))
-                if feas[p][o] and _within_two(g, prev_last, opts[p][o][0])
-            )
-            out.extend(opts[p][choice])
+        out = list(live[0][0])
+        for here in live[1:]:
+            out.extend(next(o for o in here if _within_two(view, out[-1], o[0])))
         return out
     raise InternalInvariantError("pair expansion found no square path")
 
@@ -304,11 +303,7 @@ def _expand_pairs(
 class _View(dict):
     """The graph of one level: the neighbour lists of the shared
     adjacency restricted to the vertices marked ``mark``, each built on
-    first use.
-
-    It is its own ``adj``, which with ``has_edge`` is all that
-    ``_within_two``, ``_expand_pairs`` and the spider search read.
-    """
+    first use."""
 
     __slots__ = ("shared", "label", "mark")
 
@@ -320,13 +315,6 @@ class _View(dict):
         label, mark = self.label, self.mark
         nbrs = self[v] = [w for w in self.shared[v] if label[w] == mark]
         return nbrs
-
-    @property
-    def adj(self) -> _View:
-        return self
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self[u]
 
 
 class _Levels:
@@ -655,6 +643,9 @@ class _Cut:
         self.closed = self.nc | {c}
         self.branches = branches
         self.heavy = heavy
+        # the level's graph, read only while every branch is back in the
+        # level: by ``enter`` and the join
+        self.view = _View(levels.adj, levels.label, self.mark)
         self.pairs: list[tuple[int, int]] = []
         # engagement edges; they join the result with the theta graph
         self.extra_edges: list[tuple[int, int]] = []
@@ -682,8 +673,8 @@ class _Cut:
 
     def close(self, comp: list[int], depth: int) -> None:
         """Solve a path branch without opening it: the Hamilton cycle of
-        the square of the path far end .. gate, c, dummy, whose edges at c
-        and the dummy give the entry pair and whose others go to the
+        the square of the path dummy, c, gate .. far end, whose edges at
+        c and the dummy give the entry pair and whose others go to the
         result.  The branch has no dropped edge, and no vertex of degree
         3 or more, so it has no centre either."""
         lv, c = self.levels, self.c
@@ -692,24 +683,16 @@ class _Cut:
         if any(centre[v] for v in comp):
             raise InternalInvariantError("centre on a path branch")
         y = lv.dummy(depth)
-        # the branch's neighbour lists are the level's, which it takes
-        # over as an opened branch would
-        take_list = self.level.view.pop
-        adj = {v: take_list(v) for v in comp}
-        adj[c] = [u_i, y]
-        adj[y] = [c]
-        vs = comp
-        insort(vs, c)
-        vs.append(y)
-        at_ends: set[int] = set()
-        inner = []
-        for e in _path_square_cycle(vs, adj):
+        # the walk takes over the level's neighbour lists of the branch,
+        # as an opened branch would
+        inner, entries = [], set()
+        for e in _square_cycle(_walk([y, c, u_i], self.level.view.pop)):
             if c in e or y in e:
-                at_ends.update(e)
+                entries.update(e)
             else:
                 inner.append(e)
         lv.add(inner)
-        self.enter(u_i, at_ends - {c, y}, None)
+        self.enter(u_i, entries - {c, y}, None)
 
     def open(
         self, comp: list[int] | None, ends: list[int], comp_cuts: list[int], depth: int
@@ -852,26 +835,28 @@ class _Cut:
         if rest:
             if engaged_to is None:
                 raise InternalInvariantError("three entries but the gate is not engaged")
-            lv = self.levels
             v_i = rest.pop()
             e_i = _norm(v_i, engaged_to)
-            if not _within_two(_View(lv.adj, lv.label, self.mark), *e_i):
+            if not _within_two(self.view, *e_i):
                 raise InternalInvariantError("engagement edge is not in the square")
             self.extra_edges.append(e_i)
 
     def join(self) -> None:
         """Add the theta graph over the contracted pairs, minus the pair
         edges, and the engagement edges to the result."""
-        lv = self.levels
-        g = _View(lv.adj, lv.label, self.mark)
+        lv, view = self.levels, self.view
         c, nc, pairs = self.c, self.nc, self.pairs
         k = len(pairs)
-        edges = tuple(
-            (i, j)
-            for i in range(k)
-            for j in range(i + 1, k)
-            if any(g.has_edge(p, q) for p in pairs[i] for q in pairs[j])
-        )
+        # two pairs are joined when they meet in the level: one pass over
+        # the neighbour lists of the pairs' vertices
+        at = {v: i for i, pair in enumerate(pairs) for v in pair}
+        met = set()
+        for v, i in at.items():
+            for w in view[v]:
+                j = at.get(w, -1)
+                if j > i:
+                    met.add((i, j))
+        edges = tuple(sorted(met))
         a_vertex = lv.partner.get(c)
         anchor = tuple(i for i, (u, _) in enumerate(pairs) if u == a_vertex)
         key = (k, edges, anchor)
@@ -887,10 +872,9 @@ class _Cut:
             raise InternalInvariantError("contracted pair graph has independence number > 3")
         if alpha == 3 and a_vertex is None:
             raise InternalInvariantError("three independent pairs but the cutvertex is unmatched")
-        expanded = [_expand_pairs(p, pairs, g, nc, a_vertex) for p in paths]
+        expanded = [_expand_pairs(p, pairs, view, a_vertex) for p in paths]
 
-        w_set = {v for pair in pairs for v in pair}
-        p_rest = sorted(v for v in nc if v not in w_set)
+        p_rest = sorted(v for v in nc if v not in at)
         if p_rest:
             if a_vertex in p_rest:
                 tail = [a_vertex] + [v for v in p_rest if v != a_vertex]
@@ -914,7 +898,7 @@ class _Cut:
                 raise InternalInvariantError("component has no end in the neighbourhood")
             if comp[0] == join_end:
                 comp = comp[::-1]
-            if not _within_two(g, comp[-1], tail[-1]):
+            if not _within_two(view, comp[-1], tail[-1]):
                 raise InternalInvariantError("leftover path cannot attach in the square")
             expanded[host_idx] = comp + tail[::-1]
 
@@ -949,7 +933,7 @@ class _Cut:
                     theta.add(_norm(a_vertex, v))
 
         for e in theta:
-            if not _within_two(g, *e):
+            if not _within_two(view, *e):
                 raise InternalInvariantError(f"theta edge {e} is not in the square")
 
         result = set(theta)

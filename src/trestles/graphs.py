@@ -326,23 +326,25 @@ def _g6_encode_n(n: int) -> bytes:
     raise DomainError("graph too large for this graph6 writer")
 
 
-def _g6_decode_n(data: bytes) -> tuple[int, int]:
-    if not data:
-        raise FormatError("empty graph6 input", 0)
-    if data[0] != 126:
-        n = data[0] - 63
+def _g6_decode_n(data: bytes, at: int) -> tuple[int, int]:
+    """The vertex count of the graph6 string that starts at ``data[at]``,
+    and the offset of its body."""
+    if at >= len(data):
+        raise FormatError("empty graph6 input", at)
+    if data[at] != 126:
+        n = data[at] - 63
         if n < 0 or n > 62:
-            raise FormatError("bad graph6 size byte", 0)
-        return n, 1
-    if len(data) < 4 or data[1] == 126:
-        raise FormatError("unsupported graph6 long size form", 1)
+            raise FormatError("bad graph6 size byte", at)
+        return n, at + 1
+    if len(data) < at + 4 or data[at + 1] == 126:
+        raise FormatError("unsupported graph6 long size form", at + 1)
     vals = []
-    for i in (1, 2, 3):
+    for i in range(at + 1, at + 4):
         b = data[i] - 63
         if b < 0 or b > 63:
             raise FormatError("bad graph6 size byte", i)
         vals.append(b)
-    return (vals[0] << 12) | (vals[1] << 6) | vals[2], 4
+    return (vals[0] << 12) | (vals[1] << 6) | vals[2], at + 4
 
 
 def write_graph6(g: Graph) -> bytes:
@@ -362,13 +364,17 @@ def write_graph6(g: Graph) -> bytes:
 
 
 def read_graph6(data: bytes) -> Graph:
-    data = data.strip()
-    if data.startswith(b">>graph6<<"):
-        data = data[10:]
-    n, pos = _g6_decode_n(data)
+    """One graph in graph6, with optional leading whitespace and
+    ``>>graph6<<`` header; only whitespace may follow it.  Error offsets
+    count from the first byte of ``data``."""
+    start = len(data) - len(data.lstrip())
+    if data.startswith(b">>graph6<<", start):
+        start += 10
+    n, pos = _g6_decode_n(data, start)
     need = (n * (n - 1) // 2 + 5) // 6
-    if len(data) - pos < need:
-        raise FormatError("graph6 body too short", len(data))
+    stop = len(data.rstrip())
+    if stop - pos < need:
+        raise FormatError("graph6 body too short", stop)
     bits = []
     for i in range(need):
         b = data[pos + i] - 63
@@ -376,6 +382,9 @@ def read_graph6(data: bytes) -> Graph:
             raise FormatError("bad graph6 body byte", pos + i)
         for shift in range(5, -1, -1):
             bits.append((b >> shift) & 1)
+    after = data[pos + need : stop]
+    if after:
+        raise FormatError("bytes after the graph6 body", stop - len(after.lstrip()))
     edges = []
     k = 0
     for v in range(1, n):

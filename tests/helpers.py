@@ -223,6 +223,29 @@ def chorded_host_corpus(seed: int):
                 yield g, matching
 
 
+def three_clique_hub(m: int, bare: int = 0) -> Graph:
+    """A hub 0 adjacent to every vertex of three disjoint K_m (clique j
+    on 1 + j*m .. (j+1)*m), with a pendant leaf on each clique vertex
+    but the first ``bare`` of each clique.
+
+    While each clique keeps at least one leaf, the hub is the only
+    centre of an induced S(K_{1,3}), and no host of this kind has an
+    induced S(K_{1,4}); vertex 1, bare whenever ``bare`` > 0, is the
+    hub's partner in the matching [(0, 1)].
+    """
+    edges = []
+    for j in range(3):
+        clique = range(1 + j * m, 1 + (j + 1) * m)
+        edges += [(0, v) for v in clique]
+        edges += [(u, v) for u in clique for v in clique if u < v]
+    n = 3 * m + 1
+    for j in range(3):
+        for v in range(1 + j * m + bare, 1 + (j + 1) * m):
+            edges.append((v, n))
+            n += 1
+    return Graph(n, edges)
+
+
 def random_red_graphs(seed: int, count: int, max_n: int = 10):
     """Yield (graph, red set) pairs: ``count`` seeded random graphs on
     1..max_n vertices, each edge present with one per-graph probability,

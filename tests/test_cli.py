@@ -98,23 +98,49 @@ def test_host_with_a_cutvertex_outside_the_hypotheses_is_no_verdict(capsys, tmp_
     assert captured.err == f"error: undetermined: the host has a cutvertex and {why}\n"
 
 
+_DISCONNECTED = {
+    "two-triangles": Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+    # these two have n - 1 edges, so the tree path's connectivity test
+    # finds them
+    "triangle-and-edge": Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+    "triangle-and-vertex": Graph(4, [(0, 1), (1, 2), (0, 2)]),
+}
+
+
 @pytest.mark.parametrize(
-    "host",
+    "host, k",
     [
-        Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
-        # n - 1 edges, so the tree path's connectivity test finds it
-        Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+        pytest.param(host, k, id=name if k == "3" else f"{name}-k{k}")
+        for name, host in _DISCONNECTED.items()
+        for k in ("2", "3", "4")
     ],
-    ids=["two-triangles", "triangle-and-edge"],
 )
-def test_disconnected_host_is_a_verdict(capsys, tmp_path, host):
+def test_disconnected_host_is_a_verdict(capsys, tmp_path, host, k):
     # the square of a disconnected host has no 2-connected spanning
     # subgraph for any k
-    code = main(["build", _host_file(tmp_path, "h.el", host), "--k", "3"])
+    code = main(["build", _host_file(tmp_path, "h.el", host), "--k", k])
     captured = capsys.readouterr()
     assert code == 1
     assert json.loads(captured.out) == {"feasible": False, "reason": "host graph is not connected"}
     assert captured.err == ""
+
+
+def test_connected_non_tree_host_needs_k3(capsys, tmp_path):
+    code = main(["build", _host_file(tmp_path, "c5.el", cycle_graph(5)), "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: non-tree hosts are built with --k 3\n"
+
+
+def test_graph6_input_with_a_second_graph_is_a_format_error(capsys, tmp_path):
+    path = tmp_path / "two.g6"
+    path.write_bytes(b"Bw\nCx\n")
+    code = main(["build", str(path), "--format", "graph6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: bytes after the graph6 body (byte offset 3)\n"
 
 
 def test_square_roundtrip(capsys, p5):

@@ -21,6 +21,7 @@ from helpers import (
     random_caterpillar,
     sprinkle_chords,
     subdivided_tree,
+    three_clique_hub,
 )
 
 from trestles import general_trestle, graphs
@@ -466,3 +467,143 @@ def test_comb_builds_no_graph_per_level(monkeypatch):
     build_general_trestle(comb, matching.edge_list)
     top = max(comb.degree(v) for v in range(comb.n))
     assert sizes and max(sizes) <= top
+
+
+def _in_square(view, u: int, v: int) -> bool:
+    return u != v and (v in view[u] or not set(view[u]).isdisjoint(view[v]))
+
+
+def _first_square_walk(options, view):
+    """The first choice, in ``itertools.product`` order over the option
+    lists, whose consecutive pairs meet in the square, flattened."""
+    for choice in itertools.product(*options):
+        if all(_in_square(view, x[-1], y[0]) for x, y in zip(choice, choice[1:])):
+            return [v for pair in choice for v in pair]
+    return None
+
+
+def _expand_by_brute_force(path, pairs, view, a_vertex):
+    """Every orientation of the path's pairs tried in order: the anchored
+    pair in front as (a, other) when a pair holds a_vertex, otherwise the
+    first pair led by its gate, then the last pair trailed by its gate."""
+    seq = list(path)
+    if a_vertex in pairs[seq[-1]]:
+        seq.reverse()
+    options = [[pairs[i], pairs[i][::-1]] for i in seq]
+    if a_vertex in pairs[seq[0]]:
+        u, w = pairs[seq[0]]
+        return "anchored", _first_square_walk([[(a_vertex, w if a_vertex == u else u)]] + options[1:], view)
+    lead = _first_square_walk([options[0][:1]] + options[1:], view)
+    if lead is not None:
+        return "lead", lead
+    return "trail", _first_square_walk(options[:-1] + [options[-1][1:]], view)
+
+
+def _hub_hosts():
+    # (m, bare leaves per clique): one join with three anchored paths, and
+    # two whose anchor is a leftover gate
+    return [three_clique_hub(m, bare) for m, bare in ((4, 0), (4, 1), (6, 2))]
+
+
+def test_expand_pairs_is_the_first_orientation_in_order(monkeypatch):
+    # every expansion the builder makes over these hosts is the
+    # lexicographically first orientation of the try that succeeds
+    expand = general_trestle._expand_pairs
+    tries = []
+
+    def recording(*args):
+        path, pairs, view, a_vertex = args[0], args[1], args[2], args[-1]
+        out = expand(*args)
+        how, expected = _expand_by_brute_force(path, pairs, view, a_vertex)
+        assert out == expected
+        tries.append(how)
+        return out
+
+    monkeypatch.setattr(general_trestle, "_expand_pairs", recording)
+    for g, m in chorded_host_corpus(seed=11):
+        build_general_trestle(g, m.edge_list)
+    for g in _hub_hosts():
+        build_general_trestle(g, [(0, 1)])
+    assert {"anchored", "lead"} <= set(tries)
+
+
+class _KeyLog(dict):
+    """A join memo that remembers the last key looked up."""
+
+    def get(self, key, default=None):
+        self.last = key
+        return super().get(key, default)
+
+
+def _record_joins(monkeypatch):
+    """Patch ``_Cut.join`` to check that each join looks up the key of
+    the all-pairs scan of its contracted pair graph; returns the list of
+    (key, leftover gates, cutvertex's partner, paths) per join."""
+    join, seen = general_trestle._Cut.join, []
+
+    def scanned_join(self):
+        lv, mark, pairs = self.levels, self.mark, self.pairs
+        k = len(pairs)
+
+        def nbrs(v):
+            return [w for w in lv.adj[v] if lv.label[w] == mark]
+
+        edges = tuple(
+            (i, j)
+            for i in range(k)
+            for j in range(i + 1, k)
+            if any(q in nbrs(p) for p in pairs[i] for q in pairs[j])
+        )
+        a_vertex = lv.partner.get(self.c)
+        key = (k, edges, tuple(i for i, (u, _) in enumerate(pairs) if u == a_vertex))
+        rest = {v for v in nbrs(self.c) if not any(v in p for p in pairs)}
+        if type(lv.joins) is dict:
+            lv.joins = _KeyLog(lv.joins)
+        join(self)
+        assert lv.joins.last == key
+        seen.append((key, rest, a_vertex, lv.joins[key][1]))
+
+    monkeypatch.setattr(general_trestle._Cut, "join", scanned_join)
+    return seen
+
+
+def test_indexed_pair_edges_match_the_pair_scan(monkeypatch):
+    seen = _record_joins(monkeypatch)
+    for g, m in chorded_host_corpus(seed=11):
+        build_general_trestle(g, m.edge_list)
+    assert len(seen) > 900
+
+
+def test_hub_over_three_cliques_joins_three_paths(monkeypatch):
+    # the hub 0 is the only centre, matched to 1; every other vertex ends
+    # with degree 2.  With a leaf on every clique vertex the one join has
+    # alpha = 3 and the anchored pair leads one of its three paths; with
+    # bare vertices the anchor 1 is a leftover gate instead
+    seen = _record_joins(monkeypatch)
+    for g, anchored in zip(_hub_hosts(), (True, False, False)):
+        assert centres(g, 3) == {0} and is_spider_free(g, 4)
+        seen.clear()
+        cert = build_general_trestle(g, [(0, 1)])
+        assert verify_trestle(cert).passed()
+        assert cert.degrees()[2:] == [2] * (g.n - 2)
+        (k, edges, anchor), rest, a_vertex, paths = seen[-1]
+        assert a_vertex == 1 and len(paths) == 3
+        assert _bounded_alpha(Graph(k, edges)) == 3
+        assert (anchor != ()) == anchored and (1 in rest) == (not anchored)
+
+
+def test_expand_pairs_tries_in_order():
+    # pairs (gate, other) 1-2 and 3-4; only 1-4 is an edge, so no walk
+    # leads with the gate 1, and the gate 3 trails instead
+    view = {1: [4], 2: [], 3: [], 4: [1]}
+    pairs = [(1, 2), (3, 4)]
+    expand = general_trestle._expand_pairs
+    assert expand((0, 1), pairs, view, None) == [2, 1, 4, 3]
+    assert _expand_by_brute_force((0, 1), pairs, view, None) == ("trail", [2, 1, 4, 3])
+    # anchored at 3, the path is read from its other end
+    assert expand((0, 1), pairs, view, 3) == [3, 4, 1, 2]
+    assert _expand_by_brute_force((0, 1), pairs, view, 3) == ("anchored", [3, 4, 1, 2])
+    with pytest.raises(general_trestle.InternalInvariantError, match="not at a path end"):
+        expand((0, 1, 2), pairs + [(5, 6)], {**view, 5: [], 6: []}, 4)
+    with pytest.raises(general_trestle.InternalInvariantError, match="no square path"):
+        expand((0, 1), [(1, 2), (3, 5)], {1: [], 2: [], 3: [], 5: []}, None)

@@ -84,6 +84,35 @@ def test_graph6_header_and_errors():
         read_graph6(b"\x01\x02")
 
 
+@pytest.mark.parametrize(
+    "data, offset, message",
+    [
+        # a second graph, or any byte after the body, is not read past
+        (b"Dhczzz", 3, "bytes after the graph6 body"),
+        (b"Dhc\nDhc", 4, "bytes after the graph6 body"),
+        (b"Dhc \t x\n", 6, "bytes after the graph6 body"),
+        # offsets count from the first byte, whitespace and header included
+        (b"  D!c", 3, "bad graph6 body byte"),
+        (b">>graph6<<D!c", 11, "bad graph6 body byte"),
+        (b"\n>>graph6<<Dh\n", 13, "graph6 body too short"),
+        (b"\t\x01", 1, "bad graph6 size byte"),
+        (b" ~~", 2, "unsupported graph6 long size form"),
+        # a bad body byte comes before the bytes after the body
+        (b"D!czzz", 1, "bad graph6 body byte"),
+    ],
+)
+def test_graph6_errors_report_the_offending_byte(data, offset, message):
+    with pytest.raises(FormatError, match=message) as info:
+        read_graph6(data)
+    assert info.value.offset == offset
+
+
+def test_graph6_takes_surrounding_whitespace():
+    g = cycle_graph(5)
+    for data in (b"Dhc\n", b"  >>graph6<<Dhc \r\n", b"\nDhc\n\n"):
+        assert read_graph6(data).edges() == g.edges()
+
+
 def test_edgelist_roundtrip_and_errors():
     g = spider(3)
     assert read_edgelist(write_edgelist(g)).edges() == g.edges()
