@@ -6,77 +6,73 @@ squares: an arc-assignment characterisation for trees, decided by one
 leaf-to-root pass, a matching-driven constructive route for
 S(K_{1,4})-free graphs, forbidden-subtree obstruction witnesses, and
 brute-force oracles for cross-validation.
+
+Importing the package loads none of its modules.  Each public name
+below is imported from its home module on first access (PEP 562), so
+``from trestles import square`` loads ``trestles.graphs`` only.  The
+``trestles`` command imports ``trestles.cli``, which loads
+``trestles.graphs`` alone, and each subcommand then loads the modules
+it runs: ``square`` none, ``build`` on a tree ``tree_trestle`` and its
+three dependencies, ``build`` on another host ``general_trestle`` and
+``path_cover`` too, but ``oracle`` only for a 2-connected host; the
+``trestles.cli`` docstring lists every command.
 """
 
-from .graphs import (
-    Digraph,
-    Disconnected,
-    DomainError,
-    FormatError,
-    Graph,
-    InternalInvariantError,
-    Tree,
-    Undetermined,
-    square,
-)
-from .general_trestle import build_general_trestle, path_square_cycle
-from .matching_flow import (
-    ArcAssignment,
-    HallViolator,
-    Matching,
-    feasible_assignment,
-    minimal_hall_violator,
-    theorem1_matching,
-)
-from .obstruction import (
-    FFamilyMember,
-    ObstructionWitness,
-    check_obstruction,
-    derive_base_patterns,
-    f_family,
-)
-from .oracle import SearchBudgetExhausted
-from .patterns import SpiderEmbedding, centre_witness, centres, is_caterpillar, is_spider_free
-from .path_cover import LinearForest, PathCover, gallai_milgram_cover, linear_forest_for
-from .tree_trestle import build_tree_trestle, decide_tree_trestle
-from .verify import TrestleCertificate, VerificationReport, verify_trestle
+# each public name and its home module
+_HOME = {
+    "ArcAssignment": "matching_flow",
+    "Digraph": "graphs",
+    "Disconnected": "graphs",
+    "DomainError": "graphs",
+    "FFamilyMember": "obstruction",
+    "FormatError": "graphs",
+    "Graph": "graphs",
+    "HallViolator": "matching_flow",
+    "InternalInvariantError": "graphs",
+    "LinearForest": "path_cover",
+    "Matching": "matching_flow",
+    "ObstructionWitness": "obstruction",
+    "PathCover": "path_cover",
+    "SearchBudgetExhausted": "graphs",
+    "SpiderEmbedding": "patterns",
+    "TrestleCertificate": "verify",
+    "Tree": "graphs",
+    "Undetermined": "graphs",
+    "VerificationReport": "verify",
+    "build_general_trestle": "general_trestle",
+    "build_tree_trestle": "tree_trestle",
+    "centre_witness": "patterns",
+    "centres": "patterns",
+    "check_obstruction": "obstruction",
+    "decide_tree_trestle": "tree_trestle",
+    "derive_base_patterns": "obstruction",
+    "f_family": "obstruction",
+    "feasible_assignment": "matching_flow",
+    "gallai_milgram_cover": "path_cover",
+    "is_caterpillar": "patterns",
+    "is_spider_free": "patterns",
+    "linear_forest_for": "path_cover",
+    "minimal_hall_violator": "matching_flow",
+    "path_square_cycle": "general_trestle",
+    "square": "graphs",
+    "theorem1_matching": "matching_flow",
+    "verify_trestle": "verify",
+}
 
-__all__ = [
-    "ArcAssignment",
-    "Digraph",
-    "Disconnected",
-    "DomainError",
-    "FFamilyMember",
-    "FormatError",
-    "Graph",
-    "HallViolator",
-    "InternalInvariantError",
-    "LinearForest",
-    "Matching",
-    "ObstructionWitness",
-    "PathCover",
-    "SearchBudgetExhausted",
-    "SpiderEmbedding",
-    "TrestleCertificate",
-    "Tree",
-    "Undetermined",
-    "VerificationReport",
-    "build_general_trestle",
-    "build_tree_trestle",
-    "centre_witness",
-    "centres",
-    "check_obstruction",
-    "decide_tree_trestle",
-    "derive_base_patterns",
-    "f_family",
-    "feasible_assignment",
-    "gallai_milgram_cover",
-    "is_caterpillar",
-    "is_spider_free",
-    "linear_forest_for",
-    "minimal_hall_violator",
-    "path_square_cycle",
-    "square",
-    "theorem1_matching",
-    "verify_trestle",
-]
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    # later lookups find it without this hook
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

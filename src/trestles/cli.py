@@ -13,6 +13,23 @@ matching).  ``build`` on a 2-connected host gives the Hamilton cycle of
 its square (exit 0, or 4 if the search budget runs out), with the
 centre matching in the certificate when one exists.
 Identical invocations produce byte-identical output.
+
+Each process runs one command, so importing this module loads only
+``argparse``, ``json``, ``sys`` and ``trestles.graphs``, and each
+command imports the modules it runs when it runs:
+
+- ``square``: nothing more;
+- ``centres``: ``patterns``;
+- ``decide``, and ``build`` on a tree: ``tree_trestle``, with
+  ``patterns``, ``matching_flow`` and ``verify``;
+- ``build`` on a non-tree host: ``matching_flow``, ``patterns``,
+  ``general_trestle``, ``path_cover`` and ``verify``, and ``oracle``
+  only when a 2-connected host reaches the Hamilton search;
+- ``verify``: ``verify``;
+- ``obstruction``, ``derive-patterns`` and ``gen-family``:
+  ``obstruction``, with ``oracle``, ``patterns`` and ``matching_flow``;
+- ``validate``: ``oracle``, ``tree_trestle`` and ``obstruction``, and
+  ``multiprocessing`` only with ``--jobs`` above 1.
 """
 
 from __future__ import annotations
@@ -20,31 +37,41 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from multiprocessing import Pool
 
-from .general_trestle import build_general_trestle
 from .graphs import (
     Disconnected,
     DomainError,
     FormatError,
     Graph,
     InternalInvariantError,
+    SearchBudgetExhausted,
     Undetermined,
     as_tree,
     is_connected,
     read_graph,
+    read_graph6,
     square,
     write_dot,
     write_graph,
     write_graph6,
-    read_graph6,
 )
-from .matching_flow import theorem1_matching
-from .obstruction import check_obstruction, derive_base_patterns, f_family
-from .oracle import FOUND, SearchBudget, SearchBudgetExhausted, brute_force_trestle, enumerate_trees
-from .patterns import centres, tree_profile
-from .tree_trestle import build_tree_trestle, decide_tree_trestle
-from .verify import TrestleCertificate, verify_trestle
+
+
+# Stand-ins for functions of modules that only some commands load.  The
+# first call imports the module and rebinds the name to the real
+# function, so every call looks the name up here when it runs.
+def decide_tree_trestle(t, k):
+    global decide_tree_trestle
+    from .tree_trestle import decide_tree_trestle
+
+    return decide_tree_trestle(t, k)
+
+
+def build_general_trestle(g, matching_edges):
+    global build_general_trestle
+    from .general_trestle import build_general_trestle
+
+    return build_general_trestle(g, matching_edges)
 
 
 def _read_input(path: str | None, fmt: str) -> Graph:
@@ -76,6 +103,8 @@ def _cmd_square(args) -> int:
 
 
 def _cmd_centres(args) -> int:
+    from .patterns import centres
+
     g = _read_input(args.input, args.format)
     found = sorted(centres(g, args.k))
     _emit({"k": args.k, "centres": found})
@@ -84,6 +113,8 @@ def _cmd_centres(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    from .patterns import tree_profile
+
     g = _read_input(args.input, args.format)
     t = as_tree(g)
     assignment = decide_tree_trestle(t, args.k)
@@ -106,6 +137,8 @@ def _cmd_build(args) -> int:
             if assignment is None:
                 _emit({"feasible": False, "reason": "no feasible arc assignment"})
                 return 1
+            from .tree_trestle import build_tree_trestle
+
             cert = build_tree_trestle(t, args.k, assignment)
         else:
             if args.k != 3:
@@ -116,6 +149,9 @@ def _cmd_build(args) -> int:
             # the builder settles 2-connectivity first: a 2-connected host
             # is built with or without the matching, and one with a
             # cutvertex and no matching has no verdict
+            from .matching_flow import theorem1_matching
+            from .patterns import centres
+
             matching = theorem1_matching(g, centres(g, 3))
             cert = build_general_trestle(g, None if matching is None else matching.edge_list)
     except Disconnected:
@@ -141,6 +177,8 @@ def _vertex_pairs(payload: dict, key: str, n: int) -> list[tuple[int, int]]:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import TrestleCertificate, verify_trestle
+
     g = _read_input(args.input, args.format)
     with open(args.certificate, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -165,6 +203,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_obstruction(args) -> int:
+    from .obstruction import check_obstruction
+
     g = _read_input(args.input, args.format)
     t = as_tree(g)
     witness = check_obstruction(t)
@@ -177,6 +217,9 @@ def _cmd_obstruction(args) -> int:
 
 
 def _cmd_derive_patterns(args) -> int:
+    from .obstruction import derive_base_patterns
+    from .oracle import SearchBudget
+
     budget = SearchBudget(node_limit=args.budget_nodes) if args.budget_nodes else None
     base = derive_base_patterns(max_n=args.max_n, confirm_budget=budget)
     _emit(
@@ -196,12 +239,17 @@ def _cmd_derive_patterns(args) -> int:
 
 
 def _cmd_gen_family(args) -> int:
+    from .obstruction import f_family
+
     members = f_family(args.max_n)
     _emit({"members": [m.to_jsonable() for m in members]})
     return 0
 
 
 def _validate_one(task: tuple[bytes, int, int]) -> tuple[int, bool, bool, bool]:
+    from .obstruction import check_obstruction
+    from .oracle import FOUND, SearchBudget, brute_force_trestle
+
     g6, k, budget_nodes = task
     t = as_tree(read_graph6(g6))
     decide_ok = decide_tree_trestle(t, k) is not None
@@ -214,11 +262,15 @@ def _validate_one(task: tuple[bytes, int, int]) -> tuple[int, bool, bool, bool]:
 
 
 def _cmd_validate(args) -> int:
+    from .oracle import enumerate_trees
+
     tasks = []
     for n in range(3, args.max_n + 1):
         for t in enumerate_trees(n):
             tasks.append((write_graph6(t), args.k, args.budget_nodes or 2_000_000))
     if args.jobs and args.jobs > 1:
+        from multiprocessing import Pool
+
         with Pool(args.jobs) as pool:
             results = pool.map(_validate_one, tasks, chunksize=16)
     else:

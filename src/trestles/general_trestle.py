@@ -74,16 +74,19 @@ without a level.  It is a whole component of the level minus c with a
 single gate, so with c and the dummy it is the path dummy, c, gate ..
 far end, and the level's neighbour lists of its vertices are the
 branch's own.  ``close`` walks it from the gate along those lists,
-taking them over as an opened branch would, puts the dummy and c in
-front, and hands the walk to ``_square_cycle``, which also answers
-path levels.  That cycle's edges do not depend on the direction of the
+taking them over as an opened branch would, and writes the Hamilton
+cycle of the square of dummy, c, walk straight from the walk: the
+pairs two apart and the two end edges, the cycle ``_square_cycle``
+gives path levels.  Its edges do not depend on the direction of the
 walk, so they are the ones the branch would get as a level.  No vertex
 of degree at most 2 centres a spider, so the branch has no centre
 (``close`` checks that) and its gate is not engaged; the re-tests and
 matching changes of an opened branch would all be undone when it
-closed.  The cycle's edges away from c and the dummy go to the result,
-and their ends at c and the dummy are the entry set, which ``enter``
-contracts and checks as it does for an opened branch.
+closed.  The cycle's edges away from c and the dummy go to the result.
+The others, dummy-c, dummy-gate and c to the gate's successor, give
+the entry pair (gate, successor) with no entry set to contract: the
+gate is the branch's only vertex in the neighbourhood of c (``_gate``
+checks that), so its successor is not in it.
 
 Joins.  A cut reads its level's graph through one ``_View``, built
 with the cut and read only while every branch is back in the level, by
@@ -158,7 +161,6 @@ from .graphs import (
     is_path_graph,
 )
 from .matching_flow import Matching
-from .oracle import fleischner_hamilton
 from .path_cover import linear_forest_for
 from .patterns import NeighbourSets, centre_witness, centres, spider_witness
 from .verify import TrestleCertificate, verify_trestle
@@ -169,6 +171,15 @@ from .verify import TrestleCertificate, verify_trestle
 # graph, its centre set after the re-tests and its inherited cutvertices
 # (None when a DFS will find them); tests compare them with full searches
 _level_hook = None
+
+
+def fleischner_hamilton(g: Graph) -> list[int]:
+    """``oracle.fleischner_hamilton``, imported and bound in its place by
+    the first call: only a 2-connected host needs the oracle module."""
+    global fleischner_hamilton
+    from .oracle import fleischner_hamilton
+
+    return fleischner_hamilton(g)
 
 
 def _norm(u: int, v: int) -> tuple[int, int]:
@@ -230,6 +241,15 @@ def _square_cycle(order: list[int]) -> list[tuple[int, int]]:
     so the walk's direction does not change them.
     """
     return sorted(_cycle_edges(order[0::2] + order[1::2][::-1]))
+
+
+def _path_branch_edges(path: list[int]) -> list[tuple[int, int]]:
+    """The edges that avoid c and the dummy y of the Hamilton cycle of
+    the square of the path y, c, ``path``: the pairs two apart along
+    ``path`` and its far end edge.  The cycle's other edges, yc, y to
+    ``path[0]`` and c to ``path[1]``, make the entry pair
+    (``path[0]``, ``path[1]``).  ``path`` has at least 2 vertices."""
+    return [*zip(path, path[2:]), (path[-2], path[-1])]
 
 
 def _bounded_alpha(g: Graph, cap: int = 4) -> int:
@@ -676,23 +696,18 @@ class _Cut:
         the square of the path dummy, c, gate .. far end, whose edges at
         c and the dummy give the entry pair and whose others go to the
         result.  The branch has no dropped edge, and no vertex of degree
-        3 or more, so it has no centre either."""
+        3 or more, so it has no centre either.  It opens no level, so it
+        takes no dummy at ``depth``."""
         lv, c = self.levels, self.c
         u_i = self._gate(comp)
         centre = lv.centre
         if any(centre[v] for v in comp):
             raise InternalInvariantError("centre on a path branch")
-        y = lv.dummy(depth)
         # the walk takes over the level's neighbour lists of the branch,
         # as an opened branch would
-        inner, entries = [], set()
-        for e in _square_cycle(_walk([y, c, u_i], self.level.view.pop)):
-            if c in e or y in e:
-                entries.update(e)
-            else:
-                inner.append(e)
-        lv.add(inner)
-        self.enter(u_i, entries - {c, y}, None)
+        path = _walk([c, u_i], self.level.view.pop)[1:]
+        lv.add(_path_branch_edges(path))
+        self.pairs.append((u_i, path[1]))
 
     def open(
         self, comp: list[int] | None, ends: list[int], comp_cuts: list[int], depth: int

@@ -37,6 +37,10 @@ class Disconnected(DomainError):
     with a verdict."""
 
 
+class SearchBudgetExhausted(DomainError):
+    """A search ran out of its node budget before a verdict."""
+
+
 class InternalInvariantError(RuntimeError):
     """A construction violated an invariant its theory guarantees.
 

@@ -63,6 +63,7 @@ from .graphs import (
     DomainError,
     Graph,
     InternalInvariantError,
+    SearchBudgetExhausted,
     Tree,
     articulation_points,
     as_tree,
@@ -87,10 +88,6 @@ class SearchBudget:
 class TrestleSearchResult:
     status: str
     edges: tuple[tuple[int, int], ...] | None = None
-
-
-class SearchBudgetExhausted(DomainError):
-    """A search ran out of its node budget before a verdict."""
 
 
 def _two_connected(n: int, edges) -> bool:

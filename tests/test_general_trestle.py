@@ -607,3 +607,21 @@ def test_expand_pairs_tries_in_order():
         expand((0, 1, 2), pairs + [(5, 6)], {**view, 5: [], 6: []}, 4)
     with pytest.raises(general_trestle.InternalInvariantError, match="no square path"):
         expand((0, 1), [(1, 2), (3, 5)], {1: [], 2: [], 3: [], 5: []}, None)
+
+
+def test_path_branch_edges_are_the_square_cycle_away_from_c_and_the_dummy():
+    # the dummy y, the cutvertex c and a branch path of m vertices, with
+    # shuffled ids so that no edge comes out in order by accident
+    rng = random.Random(15)
+    norm = general_trestle._norm
+    for m in range(2, 41):
+        y, c, *path = rng.sample(range(100), m + 2)
+        cycle = general_trestle._square_cycle([y, c, *path])
+        edges = general_trestle._path_branch_edges(path)
+        assert len(edges) == m - 1
+        assert sorted(norm(*e) for e in edges) == [e for e in cycle if y not in e and c not in e]
+        assert {e for e in cycle if y in e or c in e} == {
+            norm(y, c),
+            norm(y, path[0]),
+            norm(c, path[1]),
+        }
