@@ -12,10 +12,12 @@ below is imported from its home module on first access (PEP 562), so
 ``from trestles import square`` loads ``trestles.graphs`` only.  The
 ``trestles`` command imports ``trestles.cli``, which loads
 ``trestles.graphs`` alone, and each subcommand then loads the modules
-it runs: ``square`` none, ``build`` on a tree ``tree_trestle`` and its
-three dependencies, ``build`` on another host ``general_trestle`` and
-``path_cover`` too, but ``oracle`` only for a 2-connected host; the
-``trestles.cli`` docstring lists every command.
+it runs, each imported inside the function that calls it: ``square``
+none, ``build`` on a tree ``tree_trestle`` and its three dependencies,
+``build`` on another host ``general_trestle`` and ``path_cover`` too,
+but ``oracle`` only for a 2-connected host, and ``obstruction`` its
+own module with ``patterns`` and ``matching_flow``, but no ``oracle``;
+the ``trestles.cli`` docstring lists every command.
 """
 
 # each public name and its home module

@@ -3,20 +3,23 @@
 Exit codes: 0 success or feasible, 1 infeasible / obstruction found (a
 verdict, with the witness on stdout, or with the reason ``host graph
 is not connected`` from ``build`` at any k: a disconnected square has
-no 2-connected spanning subgraph), 2 usage error, 3 internal fault (an
-invariant violation, or any other unexpected exception, reported on
-stderr with its traceback), 4 no verdict (a search budget
-exhausted, a ``derive-patterns`` search undetermined within its
-``--max-n``, or a non-tree ``build`` host with a cutvertex outside the
-theorem's hypotheses: an induced S(K_{1,4}) or no saturating centre
-matching).  ``build`` on a 2-connected host gives the Hamilton cycle of
-its square (exit 0, or 4 if the search budget runs out), with the
-centre matching in the certificate when one exists.
-Identical invocations produce byte-identical output.
+no 2-connected spanning subgraph), a failed ``verify`` check or a
+``validate`` disagreement, 2 usage or format error (a certificate that
+is not UTF-8 JSON too), 3 internal fault (an invariant violation, or
+any other unexpected exception, reported on stderr with its
+traceback), 4 no verdict (a search budget exhausted, a
+``derive-patterns`` search undetermined within its ``--max-n``, or a
+non-tree ``build`` host with a cutvertex outside the theorem's
+hypotheses: an induced S(K_{1,4}) or no saturating centre matching).
+``build`` on a 2-connected host gives the Hamilton cycle of its square
+(exit 0, or 4 if the search budget runs out), with the centre matching
+in the certificate when one exists.  Identical invocations produce
+byte-identical output.
 
 Each process runs one command, so importing this module loads only
-``argparse``, ``json``, ``sys`` and ``trestles.graphs``, and each
-command imports the modules it runs when it runs:
+``argparse``, ``json``, ``sys`` and ``trestles.graphs``; any other
+module is imported inside the function that calls it, so the commands
+load:
 
 - ``square``: nothing more;
 - ``centres``: ``patterns``;
@@ -26,8 +29,9 @@ command imports the modules it runs when it runs:
   ``general_trestle``, ``path_cover`` and ``verify``, and ``oracle``
   only when a 2-connected host reaches the Hamilton search;
 - ``verify``: ``verify``;
-- ``obstruction``, ``derive-patterns`` and ``gen-family``:
-  ``obstruction``, with ``oracle``, ``patterns`` and ``matching_flow``;
+- ``obstruction``: ``obstruction``, with ``patterns`` and
+  ``matching_flow``;
+- ``derive-patterns`` and ``gen-family``: the same and ``oracle``;
 - ``validate``: ``oracle``, ``tree_trestle`` and ``obstruction``, and
   ``multiprocessing`` only with ``--jobs`` above 1.
 """
@@ -55,23 +59,6 @@ from .graphs import (
     write_graph,
     write_graph6,
 )
-
-
-# Stand-ins for functions of modules that only some commands load.  The
-# first call imports the module and rebinds the name to the real
-# function, so every call looks the name up here when it runs.
-def decide_tree_trestle(t, k):
-    global decide_tree_trestle
-    from .tree_trestle import decide_tree_trestle
-
-    return decide_tree_trestle(t, k)
-
-
-def build_general_trestle(g, matching_edges):
-    global build_general_trestle
-    from .general_trestle import build_general_trestle
-
-    return build_general_trestle(g, matching_edges)
 
 
 def _read_input(path: str | None, fmt: str) -> Graph:
@@ -114,6 +101,7 @@ def _cmd_centres(args) -> int:
 
 def _cmd_decide(args) -> int:
     from .patterns import tree_profile
+    from .tree_trestle import decide_tree_trestle
 
     g = _read_input(args.input, args.format)
     t = as_tree(g)
@@ -133,12 +121,12 @@ def _cmd_build(args) -> int:
     try:
         if len(g.edges()) == g.n - 1:
             t = as_tree(g)
+            from .tree_trestle import build_tree_trestle, decide_tree_trestle
+
             assignment = decide_tree_trestle(t, args.k)
             if assignment is None:
                 _emit({"feasible": False, "reason": "no feasible arc assignment"})
                 return 1
-            from .tree_trestle import build_tree_trestle
-
             cert = build_tree_trestle(t, args.k, assignment)
         else:
             if args.k != 3:
@@ -149,6 +137,7 @@ def _cmd_build(args) -> int:
             # the builder settles 2-connectivity first: a 2-connected host
             # is built with or without the matching, and one with a
             # cutvertex and no matching has no verdict
+            from .general_trestle import build_general_trestle
             from .matching_flow import theorem1_matching
             from .patterns import centres
 
@@ -181,7 +170,10 @@ def _cmd_verify(args) -> int:
 
     g = _read_input(args.input, args.format)
     with open(args.certificate, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad bytes, bad or too deep JSON
+            raise DomainError(f"certificate is not UTF-8 JSON: {exc}") from None
     if isinstance(payload, dict) and "certificate" in payload:
         payload = payload["certificate"]
     if not isinstance(payload, dict) or "edges" not in payload:
@@ -220,7 +212,7 @@ def _cmd_derive_patterns(args) -> int:
     from .obstruction import derive_base_patterns
     from .oracle import SearchBudget
 
-    budget = SearchBudget(node_limit=args.budget_nodes) if args.budget_nodes else None
+    budget = None if args.budget_nodes is None else SearchBudget(node_limit=args.budget_nodes)
     base = derive_base_patterns(max_n=args.max_n, confirm_budget=budget)
     _emit(
         {
@@ -248,12 +240,16 @@ def _cmd_gen_family(args) -> int:
 
 def _validate_one(task: tuple[bytes, int, int]) -> tuple[int, bool, bool, bool]:
     from .obstruction import check_obstruction
-    from .oracle import FOUND, SearchBudget, brute_force_trestle
+    from .oracle import EXHAUSTED, FOUND, SearchBudget, brute_force_trestle
+    from .tree_trestle import decide_tree_trestle
 
     g6, k, budget_nodes = task
     t = as_tree(read_graph6(g6))
     decide_ok = decide_tree_trestle(t, k) is not None
     brute = brute_force_trestle(square(t), k, SearchBudget(node_limit=budget_nodes))
+    if brute.status == EXHAUSTED:
+        # no ground truth for this tree, so no agreement count
+        raise SearchBudgetExhausted("brute-force search did not finish within budget")
     brute_ok = brute.status == FOUND
     agree = decide_ok == brute_ok
     if k == 3:
@@ -267,7 +263,7 @@ def _cmd_validate(args) -> int:
     tasks = []
     for n in range(3, args.max_n + 1):
         for t in enumerate_trees(n):
-            tasks.append((write_graph6(t), args.k, args.budget_nodes or 2_000_000))
+            tasks.append((write_graph6(t), args.k, args.budget_nodes))
     if args.jobs and args.jobs > 1:
         from multiprocessing import Pool
 
@@ -288,6 +284,12 @@ def _cmd_validate(args) -> int:
     total = len(results)
     print(f"agree: {agreed}/{total}")
     return 0 if agreed == total else 1
+
+
+def _positive_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -317,7 +319,7 @@ def _parser() -> argparse.ArgumentParser:
 
     derive_p = sub.add_parser("derive-patterns", help="re-derive base obstruction patterns")
     derive_p.add_argument("--max-n", type=int, default=16)
-    derive_p.add_argument("--budget-nodes", type=int)
+    derive_p.add_argument("--budget-nodes", type=_positive_int)
     derive_p.add_argument("--dot", help="also write T_0 as DOT to this path")
 
     family_p = sub.add_parser("gen-family", help="obstruction family members")
@@ -327,7 +329,7 @@ def _parser() -> argparse.ArgumentParser:
     validate_p.add_argument("--max-n", type=int, required=True)
     validate_p.add_argument("--k", type=int, default=3)
     validate_p.add_argument("--jobs", type=int, default=1)
-    validate_p.add_argument("--budget-nodes", type=int)
+    validate_p.add_argument("--budget-nodes", type=_positive_int, default=2_000_000)
     return top
 
 
@@ -354,7 +356,7 @@ def main(argv=None) -> int:
     except Undetermined as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, FormatError, OSError, json.JSONDecodeError) as exc:
+    except (DomainError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

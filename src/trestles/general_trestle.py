@@ -173,15 +173,6 @@ from .verify import TrestleCertificate, verify_trestle
 _level_hook = None
 
 
-def fleischner_hamilton(g: Graph) -> list[int]:
-    """``oracle.fleischner_hamilton``, imported and bound in its place by
-    the first call: only a 2-connected host needs the oracle module."""
-    global fleischner_hamilton
-    from .oracle import fleischner_hamilton
-
-    return fleischner_hamilton(g)
-
-
 def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -678,7 +669,7 @@ class _Cut:
         view = self.level.view
         for _, comp, ends, comp_cuts in self.branches:
             if comp is not None and not ends and all(len(view[v]) <= 2 for v in comp):
-                self.close(comp, depth)
+                self.close(comp)
                 continue
             level, opened = self.open(comp, ends, comp_cuts, depth)
             yield level, depth
@@ -691,13 +682,13 @@ class _Cut:
             raise InternalInvariantError("branch meets the neighbourhood more than once")
         return gates[0]
 
-    def close(self, comp: list[int], depth: int) -> None:
+    def close(self, comp: list[int]) -> None:
         """Solve a path branch without opening it: the Hamilton cycle of
         the square of the path dummy, c, gate .. far end, whose edges at
         c and the dummy give the entry pair and whose others go to the
         result.  The branch has no dropped edge, and no vertex of degree
         3 or more, so it has no centre either.  It opens no level, so it
-        takes no dummy at ``depth``."""
+        takes no dummy."""
         lv, c = self.levels, self.c
         u_i = self._gate(comp)
         centre = lv.centre
@@ -986,6 +977,8 @@ def build_general_trestle(g: Graph, matching_edges) -> TrestleCertificate:
         edges = tuple(sorted({_norm(u, v) for u, v in matching_edges}))
         m = Matching(g, edges)
     if not cuts:
+        from .oracle import fleischner_hamilton
+
         trestle = _cycle_edges(fleischner_hamilton(g))
     else:
         x = centres(g, 3)

@@ -11,10 +11,12 @@ hard-coded but re-derived here by exhaustive enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .graphs import (
     DomainError,
     InternalInvariantError,
+    SearchBudgetExhausted,
     Tree,
     Undetermined,
     components,
@@ -22,16 +24,10 @@ from .graphs import (
     write_graph6,
 )
 from .matching_flow import feasible_assignment, minimal_hall_violator
-from .oracle import (
-    EXHAUSTED,
-    FOUND,
-    SearchBudget,
-    SearchBudgetExhausted,
-    brute_force_trestle,
-    enumerate_trees,
-    tree_canonical_form,
-)
 from .patterns import centre_witness, tree_profile
+
+if TYPE_CHECKING:
+    from .oracle import SearchBudget
 
 
 @dataclass(frozen=True)
@@ -244,6 +240,8 @@ def derive_base_patterns(max_n: int = 16, confirm_budget: SearchBudget | None = 
     search budget, the absence of a trestle in square(T_0) is also
     confirmed by brute force.
     """
+    from .oracle import EXHAUSTED, FOUND, brute_force_trestle, enumerate_trees
+
     hits: list[Tree] = []
     found_n = None
     # the scan's trees small enough to be A, for the attachment search
@@ -335,6 +333,8 @@ def f_family(max_n: int, base: BasePatterns | None = None) -> list[FFamilyMember
     branch at a special vertex and identifying that vertex with v of
     the attachment pattern; duplicates are removed by canonical form.
     """
+    from .oracle import tree_canonical_form
+
     if base is None:
         base = derive_base_patterns()
     if base.t0.tree.n > max_n:

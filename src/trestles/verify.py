@@ -42,7 +42,8 @@ class TrestleCertificate:
 
     @staticmethod
     def of(host, edges, k, matching_edges=None, expected_degrees=None):
-        norm = tuple(sorted({(u, v) if u < v else (v, u) for u, v in edges}))
+        # repeats are kept: ``verify_trestle`` fails an edge listed twice
+        norm = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
         m = None
         if matching_edges is not None:
             m = tuple(sorted({(u, v) if u < v else (v, u) for u, v in matching_edges}))

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import EAR_HOST_17, RINGED_SPIDER_13, base_patterns
 
-from trestles import cli, general_trestle, obstruction, oracle
+from trestles import cli, general_trestle, obstruction, oracle, tree_trestle
 from trestles.cli import main
 from trestles.graphs import Graph, Tree, cycle_graph, path_graph, spider, write_edgelist, write_graph6
 from trestles.matching_flow import theorem1_matching
@@ -185,6 +185,41 @@ def test_verify_rejects_tampered(capsys, tmp_path, p5):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("twice", [[0, 1], [1, 0]], ids=["same", "reversed"])
+def test_verify_fails_a_repeated_edge(capsys, tmp_path, p5, twice):
+    # the edge 0-1 of the certificate listed again, as given or reversed
+    code, out = run(capsys, "build", p5, "--k", "2")
+    payload = json.loads(out)
+    assert [0, 1] in payload["certificate"]["edges"]
+    payload["certificate"]["edges"].append(twice)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(payload))
+    code, out = run(capsys, "verify", p5, "--certificate", str(cert_path), "--k", "2")
+    assert code == 1
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert checks["edges_in_square"] == {
+        "check": "edges_in_square",
+        "pass": False,
+        "detail": "offending edges: [(0, 1)]",
+    }
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'\xff\xfe{"edges": []}', b"[" * 100000, b'{"edges": [}'],
+    ids=["not-utf8", "too-deep", "not-json"],
+)
+def test_undecodable_certificate_is_a_format_error(capsys, tmp_path, p5, data):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_bytes(data)
+    code = main(["verify", p5, "--certificate", str(cert_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: certificate is not UTF-8 JSON: ")
+    assert "Traceback" not in captured.err
+
+
 def test_obstruction_verdict(capsys, tmp_path, sk14, p5):
     code, out = run(capsys, "obstruction", sk14)
     assert code == 1
@@ -239,7 +274,7 @@ def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch, tmp_path):
     def broken(g, matching_edges):
         raise KeyError(7)
 
-    monkeypatch.setattr(cli, "build_general_trestle", broken)
+    monkeypatch.setattr(general_trestle, "build_general_trestle", broken)
     code = main(["build", str(path), "--k", "3"])
     captured = capsys.readouterr()
     assert code == 3
@@ -252,7 +287,7 @@ def test_recursion_error_is_an_internal_fault(capsys, monkeypatch, p5):
     def too_deep(t, k):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli, "decide_tree_trestle", too_deep)
+    monkeypatch.setattr(tree_trestle, "decide_tree_trestle", too_deep)
     code = main(["decide", p5, "--k", "3"])
     captured = capsys.readouterr()
     assert code == 3
@@ -298,10 +333,9 @@ def test_budget_exhaustion_has_its_own_exit_code(capsys, monkeypatch, tmp_path):
     # here with a budget too small to finish
     path = tmp_path / "c6.el"
     path.write_bytes(write_edgelist(cycle_graph(6)))
+    search = oracle.fleischner_hamilton
     monkeypatch.setattr(
-        general_trestle,
-        "fleischner_hamilton",
-        lambda g: oracle.fleischner_hamilton(g, oracle.SearchBudget(node_limit=3)),
+        oracle, "fleischner_hamilton", lambda g: search(g, oracle.SearchBudget(node_limit=3))
     )
     code = main(["build", str(path), "--k", "3"])
     captured = capsys.readouterr()
@@ -340,6 +374,27 @@ def test_validate_small(capsys):
     code, out = run(capsys, "validate", "--max-n", "7", "--k", "3")
     assert code == 0
     assert "agree: 23/23" in out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_validate_budget_exhaustion_is_no_verdict(capsys, jobs):
+    # three nodes settle no tree: no ground truth, so no agreement count
+    code = main(["validate", "--max-n", "6", "--budget-nodes", "3", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: search budget exhausted\n"
+
+
+@pytest.mark.parametrize("command", [["validate", "--max-n", "6"], ["derive-patterns"]])
+@pytest.mark.parametrize("nodes", ["0", "-1", "1.5", "x"])
+def test_budget_nodes_must_be_positive(capsys, command, nodes):
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--budget-nodes", nodes])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == ""
+    assert f"argument --budget-nodes: {nodes!r} is not a positive integer" in captured.err
 
 
 def test_validate_jobs_deterministic(capsys):

@@ -263,9 +263,9 @@ def test_path_branches_open_no_level(monkeypatch):
         init(self, *args)
         made.append(self.is_path())
 
-    def counting_close(self, comp, depth):
+    def counting_close(self, comp):
         closed.append(len(comp))
-        close(self, comp, depth)
+        close(self, comp)
 
     monkeypatch.setattr(general_trestle._Level, "__init__", counting_init)
     monkeypatch.setattr(general_trestle._Cut, "close", counting_close)

@@ -22,6 +22,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 TREE = "n=5\n0 1\n1 2\n1 3\n3 4\n"
 CUTVERTEX_HOST = "n=8\n0 1\n0 2\n0 3\n1 4\n2 5\n3 6\n4 7\n5 7\n"
 CYCLE = "n=6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"
+# S(K_{1,4}): four legs of length 2, an obstruction at k = 3
+SPIDER4 = "n=9\n0 1\n1 2\n0 3\n3 4\n0 5\n5 6\n0 7\n7 8\n"
 
 _REPORT = """
 import json, sys
@@ -90,6 +92,18 @@ def test_two_connected_host_build_loads_the_oracle(tmp_path):
     loaded = _after_main(tmp_path, CYCLE, "build")
     assert "trestles.oracle" in loaded
     assert not loaded & {"trestles.obstruction", "multiprocessing"}
+
+
+def test_obstruction_loads_no_oracle(tmp_path):
+    # the witness is the tree profile and one Hall violator
+    assert _after_main(tmp_path, SPIDER4, "obstruction") == {
+        "trestles",
+        "trestles.cli",
+        "trestles.graphs",
+        "trestles.matching_flow",
+        "trestles.obstruction",
+        "trestles.patterns",
+    }
 
 
 def test_multiprocessing_only_for_parallel_validation():

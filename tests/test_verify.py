@@ -107,14 +107,21 @@ def test_edge_at_distance_three_fails():
 
 
 def test_repeated_edge_fails():
-    # TrestleCertificate.of drops repeats; a certificate built directly
-    # keeps them, and a repeated edge is not an edge of a simple graph
+    # a repeated edge is not an edge of a simple graph
     p = path_graph(5)
     edges = ((0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (3, 4))
     report = verify_trestle(TrestleCertificate(p, edges, 3))
     assert report.failed_checks() == ["edges_in_square"]
     detail = [c for c in report.checks if c.check == "edges_in_square"][0].detail
     assert detail == "offending edges: [(3, 4)]"
+
+
+def test_of_keeps_repeated_edges():
+    # oriented and sorted, so a reversed repeat is a repeat too
+    p = path_graph(5)
+    cert = TrestleCertificate.of(p, [(1, 0), (0, 2), (1, 3), (2, 4), (4, 3), (3, 4)], 2)
+    assert cert.edge_list == ((0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (3, 4))
+    assert verify_trestle(cert).failed_checks() == ["edges_in_square", "max_degree"]
 
 
 def test_large_star_certificate_verifies():
