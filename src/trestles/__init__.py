@@ -23,7 +23,6 @@ the ``trestles.cli`` docstring lists every command.
 # each public name and its home module
 _HOME = {
     "ArcAssignment": "matching_flow",
-    "Digraph": "graphs",
     "Disconnected": "graphs",
     "DomainError": "graphs",
     "FFamilyMember": "obstruction",
@@ -31,10 +30,8 @@ _HOME = {
     "Graph": "graphs",
     "HallViolator": "matching_flow",
     "InternalInvariantError": "graphs",
-    "LinearForest": "path_cover",
     "Matching": "matching_flow",
     "ObstructionWitness": "obstruction",
-    "PathCover": "path_cover",
     "SearchBudgetExhausted": "graphs",
     "SpiderEmbedding": "patterns",
     "TrestleCertificate": "verify",

@@ -5,9 +5,10 @@ verdict, with the witness on stdout, or with the reason ``host graph
 is not connected`` from ``build`` at any k: a disconnected square has
 no 2-connected spanning subgraph), a failed ``verify`` check or a
 ``validate`` disagreement, 2 usage or format error (a certificate that
-is not UTF-8 JSON too), 3 internal fault (an invariant violation, or
-any other unexpected exception, reported on stderr with its
-traceback), 4 no verdict (a search budget exhausted, a
+is not UTF-8 JSON too, and ``validate`` with a ``--max-n`` below 3,
+which would check no tree, or a ``--jobs`` below 1), 3 internal fault
+(an invariant violation, or any other unexpected exception, reported
+on stderr with its traceback), 4 no verdict (a search budget exhausted, a
 ``derive-patterns`` search undetermined within its ``--max-n``, or a
 non-tree ``build`` host with a cutvertex outside the theorem's
 hypotheses: an induced S(K_{1,4}) or no saturating centre matching).
@@ -260,11 +261,13 @@ def _validate_one(task: tuple[bytes, int, int]) -> tuple[int, bool, bool, bool]:
 def _cmd_validate(args) -> int:
     from .oracle import enumerate_trees
 
+    if args.max_n < 3:
+        raise DomainError("--max-n must be at least 3: validate checks trees on 3 to --max-n vertices")
     tasks = []
     for n in range(3, args.max_n + 1):
         for t in enumerate_trees(n):
             tasks.append((write_graph6(t), args.k, args.budget_nodes))
-    if args.jobs and args.jobs > 1:
+    if args.jobs > 1:
         from multiprocessing import Pool
 
         with Pool(args.jobs) as pool:
@@ -328,7 +331,7 @@ def _parser() -> argparse.ArgumentParser:
     validate_p = sub.add_parser("validate", help="three-way agreement suite over all trees")
     validate_p.add_argument("--max-n", type=int, required=True)
     validate_p.add_argument("--k", type=int, default=3)
-    validate_p.add_argument("--jobs", type=int, default=1)
+    validate_p.add_argument("--jobs", type=_positive_int, default=1)
     validate_p.add_argument("--budget-nodes", type=_positive_int, default=2_000_000)
     return top
 

@@ -871,7 +871,7 @@ class _Cut:
             contracted = Graph(k, edges)
             solved = lv.joins[key] = (
                 _bounded_alpha(contracted),
-                linear_forest_for(contracted, set(anchor)).paths,
+                linear_forest_for(contracted, set(anchor)),
             )
         alpha, paths = solved
         if alpha > 3:

@@ -182,35 +182,6 @@ class Tree(Graph):
         return t
 
 
-class Digraph:
-    """Simple digraph; antiparallel arc pairs are allowed."""
-
-    __slots__ = ("n", "out")
-
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise DomainError("vertex count must be non-negative")
-        seen = set()
-        out: list[list[int]] = [[] for _ in range(n)]
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise DomainError(f"arc ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise DomainError(f"self-loop at vertex {u}")
-            if (u, v) in seen:
-                continue
-            seen.add((u, v))
-            out[u].append(v)
-        self.n = n
-        self.out = tuple(tuple(sorted(a)) for a in out)
-
-    def arcs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.out[u]]
-
-    def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, arcs={self.arcs()})"
-
-
 def square(g: Graph) -> Graph:
     """The square of ``g``: join vertices at distance 1 or 2."""
     edges = set(g.edges())

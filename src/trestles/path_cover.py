@@ -1,167 +1,117 @@
 """Constructive Gallai-Milgram path covers and linear forests.
 
-The classical inductive proof is unrolled into an algorithm: either the
-terminal set of the current cover is independent (then it doubles as a
-one-vertex-per-path independent transversal), or an arc between
-terminals yields a cover with a strictly smaller terminal set, possibly
-via recursion into the digraph minus one vertex.  The transversal
-certifies that the cover has at most independence-number many paths,
-which is all the linear-forest construction needs.
+A digraph is given by out-neighbour bitmasks: bit v of ``out[u]`` is
+the arc u -> v.  ``gallai_milgram_cover`` returns disjoint directed
+paths covering it, with an independent transversal (one vertex per
+path, no arc between two of them), so there are at most
+independence-number many paths.
+
+The classical proof (Gallai and Milgram, 1960) is an induction on a
+cover with terminal set T.  If T is independent, it is the
+transversal.  Otherwise take the lowest pair (i, j), in path order,
+with an arc from terminal t_i to the terminal v of path j.  If path j
+is v alone, joining it after t_i shrinks T.  Otherwise let w precede v
+and cover the digraph minus v by cutting v off: a transversal found
+there serves here too, and a cover Q found there, with terminals
+strictly inside T - {v} + {w}, takes v back after w if w is still a
+terminal of Q; as a new path if Q's terminals lie strictly inside
+T - {v}; and after t_i otherwise, since Q's terminals are then T - {v}.
+
+Here that induction is one loop.  A round copies its cover once and
+descends on the copy: each level cuts v off and pushes the frame
+(v, w, t_i, T), until a level joins a single vertex j after t_i or
+finds no terminal arc.  No arc ends the construction with the round's
+own cover and the deepest terminals, one on each of its paths.  A join
+unwinds the frames deepest first, each applying the three cases in
+that order to the same copy.  That is the recursive order: each call
+only changes the cover its inner call returned, so every level sees
+the cover the recursion would hand it.  Each round shrinks the
+terminal set, so there are at most n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
-from .graphs import Digraph, DomainError, Graph, InternalInvariantError
+from .graphs import DomainError, Graph, InternalInvariantError
 
-
-@dataclass(frozen=True)
-class PathCover:
-    """Vertex-disjoint directed paths covering all vertices.
-
-    ``transversal`` holds one vertex per path and is independent in the
-    digraph (no arc in either direction between any two members).
-    """
-
-    digraph: Digraph
-    paths: tuple[tuple[int, ...], ...]
-    transversal: tuple[int, ...]
-
-    def size(self) -> int:
-        return len(self.paths)
-
-    def start_vertices(self) -> tuple[int, ...]:
-        return tuple(p[0] for p in self.paths)
-
-    def check(self) -> None:
-        d = self.digraph
-        seen: set[int] = set()
-        for p in self.paths:
-            for v in p:
-                if v in seen:
-                    raise InternalInvariantError("paths are not vertex-disjoint")
-                seen.add(v)
-            for a, b in zip(p, p[1:]):
-                if b not in d.out[a]:
-                    raise InternalInvariantError(f"({a},{b}) is not an arc")
-        if seen != set(range(d.n)):
-            raise InternalInvariantError("cover misses vertices")
-        if len(self.transversal) != len(self.paths):
-            raise InternalInvariantError("transversal size mismatch")
-        for i, v in enumerate(self.transversal):
-            if v not in self.paths[i]:
-                raise InternalInvariantError("transversal member not on its path")
-        for u in self.transversal:
-            for v in self.transversal:
-                if u != v and v in self.out_set(u):
-                    raise InternalInvariantError("transversal is not independent")
-
-    def out_set(self, u: int) -> tuple[int, ...]:
-        return self.digraph.out[u]
+Paths = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class LinearForest:
-    """Vertex-disjoint paths covering a host graph's vertices."""
-
-    host: Graph
-    paths: tuple[tuple[int, ...], ...]
-
-    def component_count(self) -> int:
-        return len(self.paths)
-
-    def degree(self, v: int) -> int:
-        for p in self.paths:
-            if v in p:
-                if len(p) == 1:
-                    return 0
-                return 1 if (p[0] == v or p[-1] == v) else 2
-        raise DomainError(f"vertex {v} not covered")
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for p in self.paths:
-            for a, b in zip(p, p[1:]):
-                out.append((min(a, b), max(a, b)))
-        return sorted(out)
-
-
-def _terminal_arc(d: Digraph, paths: list[list[int]]) -> tuple[int, int] | None:
-    """Lowest (i, j) with an arc from terminal of path i to terminal of j."""
-    terminals = [p[-1] for p in paths]
+def _terminal_arc(out: Sequence[int], terminals: list[int], mask: int) -> tuple[int, int] | None:
+    """Lowest (i, j) with an arc from terminal of path i to terminal of j;
+    ``mask`` has the terminals' bits."""
     for i, t in enumerate(terminals):
-        for j, s in enumerate(terminals):
-            if i != j and s in d.out[t]:
-                return i, j
+        hits = out[t] & (mask ^ 1 << t)
+        if hits:
+            for j, s in enumerate(terminals):
+                if hits >> s & 1:
+                    return i, j
     return None
 
 
-def _solve(d: Digraph, paths: list[list[int]]):
-    """One round of the inductive argument.
-
-    Returns ("transversal", S) with S a transversal of ``paths``, or
-    ("improved", Q) where Q covers the same vertices and its terminal
-    set is a proper subset of the input's.
-    """
-    hit = _terminal_arc(d, paths)
-    if hit is None:
-        return "transversal", [p[-1] for p in paths]
-    i, j = hit
-    if len(paths[j]) == 1:
-        improved = [list(p) for p in paths]
-        tail = improved.pop(j)
-        if j < i:
-            i -= 1
-        improved[i] = improved[i] + tail
-        return "improved", improved
-    v = paths[j][-1]
-    w = paths[j][-2]
-    sub_paths = [list(p) for p in paths]
-    sub_paths[j] = sub_paths[j][:-1]
-    kind, payload = _solve(d, sub_paths)
-    if kind == "transversal":
-        return "transversal", payload
-    q: list[list[int]] = payload
-    q_terminals = [p[-1] for p in q]
-    if w in q_terminals:
-        q[q_terminals.index(w)].append(v)
-        return "improved", q
-    old_terminals = {p[-1] for p in paths}
-    if set(q_terminals) < old_terminals - {v}:
-        q.append([v])
-        return "improved", q
-    # q's terminal set equals the old one minus v; the arc tail t_i is
-    # still a terminal, so appending v there shrinks the terminal set
-    t_i = paths[i][-1]
-    if t_i not in q_terminals:
-        raise InternalInvariantError("Gallai-Milgram case analysis broke down")
-    q[q_terminals.index(t_i)].append(v)
-    return "improved", q
+def _check(out: Sequence[int], paths: Paths, transversal: tuple[int, ...]) -> None:
+    if sorted(v for p in paths for v in p) != list(range(len(out))):
+        raise InternalInvariantError("paths do not partition the vertices")
+    if any(not out[a] >> b & 1 for p in paths for a, b in zip(p, p[1:])):
+        raise InternalInvariantError("a path steps along a non-arc")
+    if len(transversal) != len(paths) or any(v not in p for v, p in zip(transversal, paths)):
+        raise InternalInvariantError("transversal is not one vertex per path")
+    members = sum(1 << v for v in transversal)
+    if any(out[u] & (members ^ 1 << u) for u in transversal):
+        raise InternalInvariantError("transversal is not independent")
 
 
-def gallai_milgram_cover(d: Digraph) -> PathCover:
-    """A path cover with an independent one-vertex-per-path transversal.
+def gallai_milgram_cover(out: Sequence[int]) -> tuple[Paths, tuple[int, ...]]:
+    """Directed paths covering the digraph with out-neighbour bitmasks
+    ``out``, and an independent transversal with one vertex per path,
+    in path order.
 
     The number of paths therefore never exceeds the independence number
     of the digraph.
     """
-    paths = [[v] for v in range(d.n)]
+    paths = [[v] for v in range(len(out))]
     while True:
-        kind, payload = _solve(d, paths)
-        if kind == "transversal":
-            cover = PathCover(
-                d,
-                tuple(tuple(p) for p in paths),
-                tuple(payload),
-            )
-            cover.check()
-            return cover
-        paths = payload
+        cover = [list(p) for p in paths]
+        terminals = [p[-1] for p in cover]
+        mask = sum(1 << t for t in terminals)
+        frames = []
+        while True:
+            hit = _terminal_arc(out, terminals, mask)
+            if hit is None:
+                result = tuple(map(tuple, paths)), tuple(terminals)
+                _check(out, *result)
+                return result
+            i, j = hit
+            if len(cover[j]) == 1:
+                break
+            v = cover[j].pop()
+            w = terminals[j] = cover[j][-1]
+            frames.append((v, w, terminals[i], mask))
+            mask ^= 1 << v | 1 << w
+        v = cover.pop(j)[0]
+        cover[i - 1 if j < i else i].append(v)
+        # terminal -> its path in the cover being unwound
+        where = {p[-1]: x for x, p in enumerate(cover)}
+        for v, w, t_i, old in reversed(frames):
+            if w in where:
+                x = where.pop(w)
+            elif (q := sum(1 << t for t in where)) | old == old and q != old ^ 1 << v:
+                # strictly inside T - {v}, as v was cut off and is no terminal
+                x = len(cover)
+                cover.append([])
+            elif t_i in where:
+                x = where.pop(t_i)
+            else:
+                raise InternalInvariantError("Gallai-Milgram case analysis broke down")
+            cover[x].append(v)
+            where[v] = x
+        paths = cover
 
 
-def linear_forest_for(g: Graph, independent: set[int]) -> LinearForest:
-    """A spanning linear forest from an orientation and a path cover.
+def linear_forest_for(g: Graph, independent: set[int]) -> Paths:
+    """The paths of a spanning linear forest, from an orientation and a
+    path cover.
 
     Edges at the independent set are oriented towards it, all others
     from the lower to the higher id.  Members of the independent set end
@@ -172,13 +122,10 @@ def linear_forest_for(g: Graph, independent: set[int]) -> LinearForest:
         for v in independent:
             if u != v and g.has_edge(u, v):
                 raise DomainError("given vertex set is not independent")
-    arcs = []
+    out = [0] * g.n
     for u, v in g.edges():
         if u in independent:
-            arcs.append((v, u))
-        elif v in independent:
-            arcs.append((u, v))
+            out[v] |= 1 << u
         else:
-            arcs.append((u, v))
-    cover = gallai_milgram_cover(Digraph(g.n, arcs))
-    return LinearForest(g, cover.paths)
+            out[u] |= 1 << v
+    return gallai_milgram_cover(out)[0]

@@ -51,6 +51,33 @@ def frame_depth() -> int:
     return depth
 
 
+def out_masks(n: int, arcs) -> list[int]:
+    """Out-neighbour bitmasks of the digraph on 0..n-1 with these arcs."""
+    out = [0] * n
+    for u, v in arcs:
+        out[u] |= 1 << v
+    return out
+
+
+def cover_faults(out: list[int], paths, transversal) -> list[str]:
+    """What keeps ``paths`` from covering the digraph with out-neighbour
+    bitmasks ``out`` by disjoint directed paths, with ``transversal`` an
+    independent set of one vertex per path; empty when nothing does."""
+    faults = []
+    covered = [v for p in paths for v in p]
+    if len(covered) != len(set(covered)):
+        faults.append("paths are not vertex-disjoint")
+    if set(covered) != set(range(len(out))):
+        faults.append("cover misses vertices")
+    if any(not out[a] >> b & 1 for p in paths for a, b in zip(p, p[1:])):
+        faults.append("a path step is not an arc")
+    if len(transversal) != len(paths) or any(v not in p for v, p in zip(transversal, paths)):
+        faults.append("transversal is not one vertex per path")
+    if any(out[u] >> v & 1 for u in transversal for v in transversal):
+        faults.append("transversal is not independent")
+    return faults
+
+
 def random_bounded_tree(rng: random.Random, n: int, maxdeg: int = 4) -> Tree:
     """Random labelled tree with all degrees at most maxdeg.
 

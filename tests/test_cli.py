@@ -397,6 +397,26 @@ def test_budget_nodes_must_be_positive(capsys, command, nodes):
     assert f"argument --budget-nodes: {nodes!r} is not a positive integer" in captured.err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "1.5", "x"])
+def test_validate_jobs_must_be_positive(capsys, jobs):
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", "--max-n", "4", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == ""
+    assert f"argument --jobs: {jobs!r} is not a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("max_n", ["2", "0", "-5"])
+def test_validate_below_three_vertices_is_a_usage_error(capsys, max_n):
+    # no tree that small: a run would check nothing and print agree: 0/0
+    code = main(["validate", "--max-n", max_n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --max-n must be at least 3")
+
+
 def test_validate_jobs_deterministic(capsys):
     _, out1 = run(capsys, "validate", "--max-n", "7", "--k", "2")
     _, out2 = run(capsys, "validate", "--max-n", "7", "--k", "2", "--jobs", "2")

@@ -299,7 +299,7 @@ def test_join_memo_matches_fresh_solves(monkeypatch):
         for (k, edges, anchor), (alpha, paths) in lv.joins.items():
             contracted = Graph(k, edges)
             assert alpha == _bounded_alpha(contracted)
-            assert paths == linear_forest_for(contracted, set(anchor)).paths
+            assert paths == linear_forest_for(contracted, set(anchor))
             keys.append(anchor)
     # most joins find their contracted pair graph already solved, and
     # the anchored pair is part of the key
