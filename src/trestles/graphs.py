@@ -3,11 +3,18 @@
 Vertices are dense integers 0..n-1.  All adjacency lists are kept sorted
 and all derived values are deterministic; nothing in this module uses
 randomness.
+
+``read_edgelist`` reads the form ``write_edgelist`` writes (an ``n=``
+header, then ``u v`` lines with u < v < n, one space and a newline, the
+pairs strictly ascending) in bulk, with checks and conversions over the
+whole text.  Every other accepted form goes through the line loop,
+which gives the same graphs and raises every FormatError.
 """
 
 from __future__ import annotations
 
-from operator import ge
+from itertools import combinations
+from operator import ge, lt
 from typing import Iterable, Sequence
 
 
@@ -78,17 +85,32 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise DomainError("vertex count must be non-negative")
-        es = _normalize_edges(n, edges)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in es:
-            adj[u].append(v)
-            adj[v].append(u)
+        self._fill(n, tuple(_normalize_edges(n, edges)))
+
+    @classmethod
+    def _from_sorted(cls, n: int, edges: tuple[tuple[int, int], ...], adj=None) -> "Graph":
+        """The graph on 0..n-1 with ``edges``, which must be distinct
+        pairs (u, v) with 0 <= u < v < n in ascending order; nothing here
+        checks that.  ``adj``, if given, must be the sorted neighbour
+        tuples those edges make."""
+        g = object.__new__(cls)
+        g._fill(n, edges, adj)
+        return g
+
+    def _fill(self, n: int, edges: tuple[tuple[int, int], ...], adj=None) -> None:
+        if adj is None:
+            lists: list[list[int]] = [[] for _ in range(n)]
+            for u, v in edges:
+                lists[u].append(v)
+                lists[v].append(u)
+            # edges are sorted, so each list gets its lower neighbours (as
+            # the second end, in order of the first) and then its higher
+            # ones (as the first end, in order of the second): already
+            # ascending
+            adj = tuple(map(tuple, lists))
         self.n = n
-        # es is sorted, so each list gets its lower neighbours (as the
-        # second end, in order of the first) and then its higher ones (as
-        # the first end, in order of the second): already ascending
-        self.adj = tuple(tuple(a) for a in adj)
-        self._edges = tuple(es)
+        self.adj = adj
+        self._edges = edges
         self._centres = None
 
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -141,19 +163,18 @@ class Tree(Graph):
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         super().__init__(n, edges)
         _require_tree(self)
+
+    def _fill(self, n: int, edges: tuple[tuple[int, int], ...], adj=None) -> None:
+        super()._fill(n, edges, adj)
         self._profile = None
 
     @classmethod
     def _from_graph(cls, g: Graph) -> "Tree":
-        """``g`` as a tree that shares every :class:`Graph` slot (the
-        normalised edges, sorted adjacency and any centres found)
-        instead of rebuilding them; DomainError if ``g`` is not a tree."""
+        """``g`` as a tree that shares its normalised edges and sorted
+        adjacency instead of rebuilding them; DomainError if ``g`` is not
+        a tree."""
         _require_tree(g)
-        t = object.__new__(cls)
-        for name in Graph.__slots__:
-            setattr(t, name, getattr(g, name))
-        t._profile = None
-        return t
+        return cls._from_sorted(g.n, g._edges, g.adj)
 
     @classmethod
     def from_parents(cls, parent: Sequence[int]) -> "Tree":
@@ -173,24 +194,16 @@ class Tree(Graph):
         adj[0] = []
         for v in range(1, n):
             adj[parent[v]].append(v)
-        t = object.__new__(cls)
-        t.n = n
-        t.adj = tuple(map(tuple, adj))
-        t._edges = tuple(sorted(zip(ups, range(1, n))))
-        t._centres = None
-        t._profile = None
-        return t
+        return cls._from_sorted(n, tuple(sorted(zip(ups, range(1, n)))), tuple(map(tuple, adj)))
 
 
 def square(g: Graph) -> Graph:
     """The square of ``g``: join vertices at distance 1 or 2."""
     edges = set(g.edges())
-    for v in range(g.n):
-        nbrs = g.adj[v]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                edges.add((nbrs[i], nbrs[j]))
-    return Graph(g.n, edges)
+    # each neighbour tuple is ascending, so its pairs come out as (low, high)
+    for nbrs in g.adj:
+        edges.update(combinations(nbrs, 2))
+    return Graph._from_sorted(g.n, tuple(sorted(edges)))
 
 
 def is_connected(g: Graph) -> bool:
@@ -377,6 +390,46 @@ def write_edgelist(g: Graph) -> bytes:
 
 
 def read_edgelist(data: bytes) -> Graph:
+    """The graph of an edge list: an optional ``n=<count>`` header, one
+    ``<u> <v>`` line per edge, blank lines and ``#`` comments.  The form
+    :func:`write_edgelist` writes is read in bulk; every other input goes
+    through the line loop, which gives the same graph and raises every
+    FormatError, at the offset of the line at fault."""
+    g = _read_sorted_edgelist(data)
+    return g if g is not None else _read_edgelist_lines(data)
+
+
+def _read_sorted_edgelist(data: bytes) -> Graph | None:
+    """The graph of ``data`` if it is exactly an ``n=<digits>`` line and
+    then ``<u> <v>`` lines, each with one space and a newline, u < v < n
+    on every line and the pairs strictly ascending; None otherwise.
+    Every check runs over the whole text at once."""
+    head, _, body = data.partition(b"\n")
+    if not (data.endswith(b"\n") and head.startswith(b"n=") and head[2:].isdigit()):
+        return None
+    # with one space and one newline per line, in turn, nothing else
+    # between the digits and a newline last, split() yields two ids a line
+    # unless one is empty
+    m = body.count(b"\n")
+    if body.translate(None, b"0123456789") != b" \n" * m:
+        return None
+    tokens = body.split()
+    if len(tokens) != 2 * m:
+        return None
+    try:
+        n = int(head[2:])
+        ids = list(map(int, tokens))
+    except ValueError:
+        # more digits than int() takes: the line loop names the line
+        return None
+    us, vs = ids[0::2], ids[1::2]
+    edges = tuple(zip(us, vs))
+    if not (all(map(lt, us, vs)) and all(map(lt, edges, edges[1:])) and max(vs, default=-1) < n):
+        return None
+    return Graph._from_sorted(n, edges)
+
+
+def _read_edgelist_lines(data: bytes) -> Graph:
     # a byte outside ASCII decodes to one U+FFFD, so each character is
     # one byte and offsets into the text are byte offsets; on this text
     # isdigit() holds only for runs of 0-9, so a count or id has no sign,
@@ -393,7 +446,11 @@ def read_edgelist(data: bytes) -> Graph:
     for i, line in enumerate(lines):
         parts = line.split()
         if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-            u, v = int(parts[0]), int(parts[1])
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                # longer than the interpreter's int-string limit
+                raise error("vertex id has too many digits", i) from None
             edges.append((u, v))
             if u > max_seen or v > max_seen:
                 max_seen, max_at = max(u, v), i
@@ -404,7 +461,10 @@ def read_edgelist(data: bytes) -> Graph:
                 raise error("second vertex-count header", i)
             if len(parts) != 1 or not parts[0][2:].isdigit():
                 raise error("bad vertex-count header", i)
-            n = int(parts[0][2:])
+            try:
+                n = int(parts[0][2:])
+            except ValueError:
+                raise error("vertex count has too many digits", i) from None
         elif len(parts) != 2:
             raise error("edge line needs two vertex ids", i)
         else:

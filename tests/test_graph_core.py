@@ -1,6 +1,10 @@
-import pytest
-from hypothesis import given, strategies as st
+import re
+from collections import deque
 
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from trestles import graphs
 from trestles.graphs import (
     DomainError,
     FormatError,
@@ -153,6 +157,9 @@ def test_edgelist_errors_report_the_offending_line(data, offset):
         # a second header no longer replaces the first
         (b"n=3\n0 1\nn=5\n3 4\n", 8, "second vertex-count header"),
         (b"n=3\n0 1\nn=3\n", 8, "second vertex-count header"),
+        # more digits than int() takes (4300 by default) is bad input too
+        (b"n=3\n0 " + b"1" * 5000 + b"\n", 4, "vertex id has too many digits"),
+        (b"n=" + b"1" * 5000 + b"\n0 1\n", 0, "vertex count has too many digits"),
     ],
 )
 def test_edgelist_takes_only_ascii_digits_and_one_header(data, offset, message):
@@ -192,6 +199,132 @@ def test_graph_adjacency_is_sorted_without_a_sort(case):
             {u for e in expected for u in e if v in e and u != v}
         )
     assert read_edgelist(write_edgelist(g)) == g
+
+
+def small_graphs(max_n=12):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))).filter(
+                    lambda e: e[0] != e[1]
+                ),
+                max_size=40 if n > 1 else 0,
+            ),
+        )
+    ).map(lambda case: Graph(*case))
+
+
+def read_outcome(read, data):
+    """The graph ``read`` makes of ``data``, or the error it raises."""
+    try:
+        g = read(data)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return g.n, g.edges(), g.adj
+
+
+EDGELIST_BYTES = [bytes([b]) for b in b"0123456789 \t\n\r\x0b\x1f#n=-x\xff"]
+
+
+def mutated_edgelist(g, at, how, byte):
+    data = write_edgelist(g)
+    at %= len(data)
+    if how == "replace":
+        return data[:at] + byte + data[at + 1 :]
+    if how == "insert":
+        return data[:at] + byte + data[at:]
+    return data[:at] + data[at + 1 :]
+
+
+def edgelist_lines():
+    """Text near the written form: an optional header, then lines of two
+    ids, either of which may be missing, with a few kinds of separator
+    and line end, in any order."""
+    vertex_id = st.one_of(st.just(b""), st.integers(0, 12).map(b"%d".__mod__))
+    # the written form's separator and line end, four times as likely as
+    # any other, so many texts keep it on every line but one or none
+    line = st.tuples(
+        vertex_id,
+        st.sampled_from([b" "] * 4 + [b"  ", b"\t", b""]),
+        vertex_id,
+        st.sampled_from([b"\n"] * 4 + [b"\r\n", b" \n", b"\x0b", b""]),
+    ).map(b"".join)
+    header = st.one_of(st.just(b""), st.integers(0, 14).map(b"n=%d\n".__mod__))
+    return st.tuples(header, st.lists(line, max_size=8).map(b"".join)).map(b"".join)
+
+
+def unsorted_edgelist(n, pairs):
+    """The written form of ``pairs`` as given: in any order, repeated,
+    either way round, self-loops and ids past n included."""
+    return b"".join([b"n=%d\n" % n] + [b"%d %d\n" % e for e in pairs])
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(EDGELIST_BYTES), max_size=40).map(b"".join),
+        edgelist_lines(),
+        st.builds(
+            unsorted_edgelist,
+            st.integers(0, 10),
+            st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)), max_size=8),
+        ),
+        st.builds(
+            mutated_edgelist,
+            small_graphs(),
+            st.integers(0, 10**6),
+            st.sampled_from(["replace", "insert", "delete"]),
+            st.sampled_from(EDGELIST_BYTES),
+        ),
+    )
+)
+# one id short on a line, and a digit after the last newline
+@example(b"n=5\n0 \n1")
+def test_edgelist_reads_as_the_line_loop_does(data):
+    # a five-digit count or id would only allocate a larger graph
+    assume(re.search(rb"[0-9]{5}", data) is None)
+    assert read_outcome(read_edgelist, data) == read_outcome(graphs._read_edgelist_lines, data)
+
+
+@given(small_graphs())
+def test_written_edgelists_are_read_in_bulk(g):
+    assume(g.num_edges() > 0)
+
+    def no_line_loop(data):
+        raise AssertionError("read by the line loop")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_read_edgelist_lines", no_line_loop)
+        back = read_edgelist(write_edgelist(g))
+    assert back == g and back.adj == g.adj
+
+
+def square_by_bfs(g):
+    """Sorted neighbour lists of the square: every vertex at distance 1
+    or 2 by a breadth-first search cut off at depth 2."""
+    rows = []
+    for s in range(g.n):
+        depth = {s: 0}
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            if depth[v] < 2:
+                for w in g.adj[v]:
+                    if w not in depth:
+                        depth[w] = depth[v] + 1
+                        queue.append(w)
+        rows.append(tuple(sorted(w for w in depth if w != s)))
+    return rows
+
+
+@given(st.one_of(small_graphs(), st.integers(0, 9).map(complete_graph)))
+def test_square_matches_breadth_first_search(g):
+    rows = square_by_bfs(g)
+    sq = square(g)
+    assert sq.n == g.n
+    assert sq.adj == tuple(rows)
+    assert sq.edges() == tuple((v, w) for v in range(g.n) for w in rows[v] if v < w)
 
 
 def test_as_tree_rejects_non_tree():
