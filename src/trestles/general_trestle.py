@@ -13,7 +13,9 @@ Views.  Every level of the induction works in the input's vertex ids on
 one shared adjacency; no level copies or relabels the graph.  A level
 is the set of vertices that carry its mark in ``label``, and its graph
 is the subgraph of the shared adjacency induced on them, so the edges a
-split drops between branches simply stop being seen.  A branch at depth
+split drops between branches simply stop being seen.  The root level
+holds every host vertex under mark 0, so its view starts as a copy of
+the host's neighbour lists and filters none.  A branch at depth
 d gets the dummy id n + d, attached to the cutvertex c in the shared
 adjacency while the branch is open.  The dummies of one level come from
 distinct depths, so their ids never collide, and they sort after every
@@ -104,8 +106,11 @@ its own pairs.  ``_expand_pairs`` orients a path's pairs by one
 ordered search: a backward pass keeps, at each position, the
 orientations from which the rest can still be walked in the square,
 and a forward pass takes the first that fits, so the result is the
-first feasible orientation in order.  The memo lives and dies with the
-build's state.
+first feasible orientation in order.  A path of one pair has nothing to
+walk: its first orientation is (gate, other entry), or the reverse when
+the anchor is the other entry, and it is returned without the search
+(about 99 % of the paths on chorded hosts).  The memo lives and dies
+with the build's state.
 
 Cutvertices.  A branch that no dropped edge meets is a whole component
 of the level minus c.  The rest of the level meets it only at c and
@@ -162,7 +167,7 @@ from .graphs import (
 )
 from .matching_flow import Matching
 from .path_cover import linear_forest_for
-from .patterns import NeighbourSets, centre_witness, centres, spider_witness
+from .patterns import NeighbourSets, centre_witness, centres, has_spider3
 from .verify import TrestleCertificate, verify_trestle
 
 # when set, called as hook(adjacency, vertices, view, centres, cuts) on
@@ -280,8 +285,12 @@ def _expand_pairs(
     inside one of the pairs that pair comes first, led by a_vertex.
     Otherwise the first pair is led by its gate or, failing that, the
     last pair is trailed by its gate.  Each try takes the first
-    orientation in order, (u, w) before (w, u) at every position.
+    orientation in order, (u, w) before (w, u) at every position.  A
+    path of one pair is (u, w), or (w, u) when a_vertex is w.
     """
+    if len(path) == 1:
+        u, w = pairs[path[0]]
+        return [w, u] if a_vertex == w else [u, w]
     seq = [pairs[i] for i in path]
     held = [a_vertex in pair for pair in seq]
     if any(held[1:-1]):
@@ -369,7 +378,10 @@ class _Levels:
     def build(self, cuts: set[int]) -> set[tuple[int, int]]:
         """The result edges: the level tree, rooted at the host with its
         cutvertices ``cuts`` (not empty), solved in post-order."""
-        root = _Level(list(range(self.g.n)), _View(self.adj, self.label, 0), cuts)
+        # every label is 0, so the root's lists are the host's
+        view = _View(self.adj, self.label, 0)
+        view.update(enumerate(map(list, self.g.adj)))
+        root = _Level(list(range(self.g.n)), view, cuts)
         # below the root's one-item iterator, one generator per open cut,
         # innermost last; each yields its branches as levels and takes a
         # branch's solution when resumed
@@ -457,12 +469,13 @@ class _Levels:
         branches = []
         parked: list[int] = []
         for searches in members.values():
-            part = sorted(v for i in searches for v in parts[i])
-            parked.extend(part)
             if len(searches) == 1:
+                part = sorted(parts[searches[0]])
                 found = [(part, [])]
             else:
+                part = sorted(v for i in searches for v in parts[i])
                 found = self._tree_parts(part, view, c, nc_set)
+            parked.extend(part)
             for comp, ends in found:
                 if len(comp) >= 2:
                     branches.append(
@@ -759,7 +772,7 @@ class _Cut:
             near.update(view[a])
         sets = NeighbourSets(view)
         for v in near:
-            if centre[v] and spider_witness(view, v, 3, sets) is None:
+            if centre[v] and not has_spider3(view, v, sets):
                 undo.append((centre, v, True))
                 centre[v] = False
                 p = partner.get(v)
@@ -912,8 +925,7 @@ class _Cut:
         ell_prime: list[int] = []
         theta: set[tuple[int, int]] = set()
         for comp in expanded:
-            for a, b in zip(comp, comp[1:]):
-                theta.add(_norm(a, b))
+            theta.update(map(_norm, comp, comp[1:]))
             ends = [comp[0], comp[-1]]
             if a_vertex in ends:
                 lead = a_vertex
@@ -942,14 +954,13 @@ class _Cut:
             if not _within_two(view, *e):
                 raise InternalInvariantError(f"theta edge {e} is not in the square")
 
-        result = set(theta)
         for u, w in pairs:
             e = _norm(u, w)
-            if e not in result:
+            if e not in theta:
                 raise InternalInvariantError("pair edge missing from the theta graph")
-            result.remove(e)
-        result.update(self.extra_edges)
-        lv.add(result)
+            theta.remove(e)
+        theta.update(self.extra_edges)
+        lv.add(theta)
 
 
 def build_general_trestle(g: Graph, matching_edges) -> TrestleCertificate:

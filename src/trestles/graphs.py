@@ -451,6 +451,8 @@ def _read_edgelist_lines(data: bytes) -> Graph:
             except ValueError:
                 # longer than the interpreter's int-string limit
                 raise error("vertex id has too many digits", i) from None
+            if u == v:
+                raise error(f"self-loop at vertex {u}", i)
             edges.append((u, v))
             if u > max_seen or v > max_seen:
                 max_seen, max_at = max(u, v), i

@@ -39,7 +39,7 @@ from trestles.graphs import (
 )
 from trestles.matching_flow import theorem1_matching
 from trestles.path_cover import linear_forest_for
-from trestles.patterns import centres, is_spider_free
+from trestles.patterns import NeighbourSets, centres, has_spider3, is_spider_free, spider_witness
 from trestles.verify import TrestleCertificate, verify_trestle
 
 
@@ -379,7 +379,9 @@ def test_pendant_clique_builds_a_hamilton_cycle():
 class _FullSearch:
     """Level hook: rebuilds each branch as a ``Graph`` from the shared
     adjacency and checks the view's neighbour lists, the re-tested
-    centres and the inherited cutvertices against full searches."""
+    centres and the inherited cutvertices against full searches, and
+    the yes/no test for S(K_{1,3}) centres against the witness search
+    on the view."""
 
     def __init__(self):
         self.levels = 0
@@ -391,6 +393,9 @@ class _FullSearch:
         index = {v: i for i, v in enumerate(vs)}
         for u in vs:
             assert view[u] == [w for w in adj[u] if w in inside]
+        sets = NeighbourSets(view)
+        for v in vs:
+            assert has_spider3(view, v, sets) == (spider_witness(view, v, 3, sets) is not None)
         h = Graph(len(vs), [(index[u], index[w]) for u in vs for w in adj[u] if w in inside])
         assert {vs[i] for i in centres(h, 3)} == found
         if cuts is not None:

@@ -160,6 +160,9 @@ def test_edgelist_errors_report_the_offending_line(data, offset):
         # more digits than int() takes (4300 by default) is bad input too
         (b"n=3\n0 " + b"1" * 5000 + b"\n", 4, "vertex id has too many digits"),
         (b"n=" + b"1" * 5000 + b"\n0 1\n", 0, "vertex count has too many digits"),
+        # a self-loop is refused at its line, not by the graph
+        (b"n=3\n0 1\n1 1\n", 8, "self-loop at vertex 1"),
+        (b"0 1\n 2  2 \n", 4, "self-loop at vertex 2"),
     ],
 )
 def test_edgelist_takes_only_ascii_digits_and_one_header(data, offset, message):
