@@ -6,16 +6,32 @@ randomness.
 
 ``read_edgelist`` reads the form ``write_edgelist`` writes (an ``n=``
 header, then ``u v`` lines with u < v < n, one space and a newline, the
-pairs strictly ascending) in bulk, with checks and conversions over the
-whole text.  Every other accepted form goes through the line loop,
-which gives the same graphs and raises every FormatError.
+pairs strictly ascending) in bulk, with checks over the whole text and
+every id converted by one ``json.loads`` of the body with its spaces
+and newlines read as commas.  Every other accepted form goes through
+the line loop, which gives the same graphs and raises every
+FormatError: JSON refuses an id with a leading zero, which ``int()``
+takes, so such an input is read line by line.  Neither reader accepts
+more than ``MAX_VERTICES`` vertices, graph6's largest n, since the
+vertex count alone sets how many adjacency lists a graph allocates.
+
+A :class:`Tree` is checked by one BFS from vertex 0 (n - 1 edges, and
+every vertex reached), and keeps that BFS: ``tree_bfs`` hands its
+parent array and visiting order to ``matching_flow.feasible_assignment``'s
+leaf-to-root pass, so a tree read, checked and decided is traversed
+once.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import json
+from itertools import combinations, islice
 from operator import ge, lt
 from typing import Iterable, Sequence
+
+# graph6's largest vertex count, and the most that either edgelist
+# reader accepts
+MAX_VERTICES = 258047
 
 
 class DomainError(ValueError):
@@ -143,38 +159,64 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self._edges)})"
 
 
-def _require_tree(g: Graph) -> None:
+def _bfs(g: Graph) -> tuple[list[int], list[int]]:
+    """The BFS of ``g`` from vertex 0, neighbours in list order: each
+    reached vertex's parent (0 for vertex 0, -1 if unreached) and the
+    reached vertices in visiting order."""
+    parent = [-1] * g.n
+    parent[0] = 0
+    order = [0]
+    adj = g.adj
+    for v in order:
+        for w in adj[v]:
+            if parent[w] == -1:
+                parent[w] = v
+                order.append(w)
+    return parent, order
+
+
+def _require_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """``g``'s BFS from vertex 0, as ``_bfs`` gives it; DomainError
+    unless ``g`` has n - 1 edges, Disconnected unless the BFS reaches
+    every vertex."""
     if g.num_edges() != g.n - 1:
         raise DomainError("not a tree: need connectivity and exactly n-1 edges")
-    if not is_connected(g):
+    bfs = _bfs(g)
+    if len(bfs[1]) != g.n:
         raise Disconnected("not a tree: need connectivity and exactly n-1 edges")
+    return bfs
 
 
 class Tree(Graph):
     """A connected acyclic :class:`Graph`.
 
     ``_profile`` holds the tree's ``patterns.TreeProfile``, which
-    ``patterns.tree_profile`` counts on first use; a tree never changes,
-    so its profile never goes stale.
+    ``patterns.tree_profile`` counts on first use, and ``_bfs`` the BFS
+    from vertex 0 that checked it was a tree (``from_parents`` needs no
+    check, so there ``tree_bfs`` runs it on first use); a tree never
+    changes, so neither goes stale.
     """
 
-    __slots__ = ("_profile",)
+    __slots__ = ("_profile", "_bfs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         super().__init__(n, edges)
-        _require_tree(self)
+        self._bfs = _require_tree(self)
 
     def _fill(self, n: int, edges: tuple[tuple[int, int], ...], adj=None) -> None:
         super()._fill(n, edges, adj)
         self._profile = None
+        self._bfs = None
 
     @classmethod
     def _from_graph(cls, g: Graph) -> "Tree":
         """``g`` as a tree that shares its normalised edges and sorted
         adjacency instead of rebuilding them; DomainError if ``g`` is not
         a tree."""
-        _require_tree(g)
-        return cls._from_sorted(g.n, g._edges, g.adj)
+        bfs = _require_tree(g)
+        t = cls._from_sorted(g.n, g._edges, g.adj)
+        t._bfs = bfs
+        return t
 
     @classmethod
     def from_parents(cls, parent: Sequence[int]) -> "Tree":
@@ -195,6 +237,21 @@ class Tree(Graph):
         for v in range(1, n):
             adj[parent[v]].append(v)
         return cls._from_sorted(n, tuple(sorted(zip(ups, range(1, n)))), tuple(map(tuple, adj)))
+
+
+def tree_bfs(t: Graph) -> tuple[list[int], list[int]]:
+    """The parent array and visiting order of the BFS from vertex 0
+    (see ``_bfs``), which the caller must not change.
+
+    A :class:`Tree` keeps the BFS that checked it, so a decision after
+    ``as_tree`` traverses nothing again; a plain :class:`Graph` gets a
+    fresh BFS on each call, with no tree check.
+    """
+    if not isinstance(t, Tree):
+        return _bfs(t)
+    if t._bfs is None:
+        t._bfs = _bfs(t)
+    return t._bfs
 
 
 def square(g: Graph) -> Graph:
@@ -251,29 +308,30 @@ def articulation_points(vertices, adj, disc, low) -> set[int]:
     for root in vertices:
         if disc[root] != -1:
             continue
-        root_children = 0
-        # stack frames: (vertex, parent, neighbour index)
-        stack = [(root, -1, 0)]
         disc[root] = low[root] = timer
         timer += 1
+        root_children = 0
+        # stack frames: (vertex, parent, iterator over its neighbours)
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
-            v, parent, idx = stack.pop()
-            if idx < len(adj[v]):
-                stack.append((v, parent, idx + 1))
-                w = adj[v][idx]
+            v, parent, nbrs = stack[-1]
+            for w in nbrs:
                 if disc[w] == -1:
-                    if v == root:
-                        root_children += 1
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, 0))
-                elif w != parent and disc[w] < low[v]:
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent and disc[w] < low[v]:
                     low[v] = disc[w]
-            elif parent != -1:
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if parent != root and low[v] >= disc[parent]:
-                    result.add(parent)
+            else:
+                stack.pop()
+                if parent == root:
+                    root_children += 1
+                elif parent != -1:
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] >= disc[parent]:
+                        result.add(parent)
         if root_children >= 2:
             result.add(root)
     return result
@@ -309,7 +367,7 @@ def _g6_encode_n(n: int) -> bytes:
         raise DomainError("negative vertex count")
     if n <= 62:
         return bytes([n + 63])
-    if n <= 258047:
+    if n <= MAX_VERTICES:
         return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     raise DomainError("graph too large for this graph6 writer")
 
@@ -399,32 +457,42 @@ def read_edgelist(data: bytes) -> Graph:
     return g if g is not None else _read_edgelist_lines(data)
 
 
+# the body's separators as JSON's, so that one json.loads reads every id
+_COMMAS = bytes.maketrans(b" \n", b",,")
+
+
 def _read_sorted_edgelist(data: bytes) -> Graph | None:
     """The graph of ``data`` if it is exactly an ``n=<digits>`` line and
-    then ``<u> <v>`` lines, each with one space and a newline, u < v < n
-    on every line and the pairs strictly ascending; None otherwise.
-    Every check runs over the whole text at once."""
+    then ``<u> <v>`` lines, each with one space and a newline, no id with
+    a leading zero, u < v < n <= MAX_VERTICES on every line and the
+    pairs strictly ascending; None otherwise.  Every check runs over the
+    whole text at once."""
     head, _, body = data.partition(b"\n")
     if not (data.endswith(b"\n") and head.startswith(b"n=") and head[2:].isdigit()):
         return None
-    # with one space and one newline per line, in turn, nothing else
-    # between the digits and a newline last, split() yields two ids a line
-    # unless one is empty
+    # one space and one newline per line, in turn, nothing else between
+    # the digits, and a newline last: with both read as commas the body
+    # is a JSON list of two ids a line unless one is empty, which JSON
+    # refuses, as it does a leading zero
     m = body.count(b"\n")
     if body.translate(None, b"0123456789") != b" \n" * m:
         return None
-    tokens = body.split()
-    if len(tokens) != 2 * m:
-        return None
     try:
         n = int(head[2:])
-        ids = list(map(int, tokens))
+        ids = json.loads(b"[" + body[:-1].translate(_COMMAS) + b"]")
     except ValueError:
-        # more digits than int() takes: the line loop names the line
+        # a leading zero, or more digits than int() takes: the line loop
+        # reads the first and names the line of the second
+        return None
+    if n > MAX_VERTICES:
         return None
     us, vs = ids[0::2], ids[1::2]
     edges = tuple(zip(us, vs))
-    if not (all(map(lt, us, vs)) and all(map(lt, edges, edges[1:])) and max(vs, default=-1) < n):
+    if not (
+        all(map(lt, us, vs))
+        and all(map(lt, edges, islice(edges, 1, None)))
+        and max(vs, default=-1) < n
+    ):
         return None
     return Graph._from_sorted(n, edges)
 
@@ -467,6 +535,8 @@ def _read_edgelist_lines(data: bytes) -> Graph:
                 n = int(parts[0][2:])
             except ValueError:
                 raise error("vertex count has too many digits", i) from None
+            if n > MAX_VERTICES:
+                raise error(f"vertex count {n} exceeds the limit {MAX_VERTICES}", i)
         elif len(parts) != 2:
             raise error("edge line needs two vertex ids", i)
         else:
@@ -474,6 +544,8 @@ def _read_edgelist_lines(data: bytes) -> Graph:
             negative = bad[:1] == "-" and bad[1:].isdigit()
             raise error("negative vertex id" if negative else "non-integer vertex id", i)
     if n < 0:
+        if max_seen >= MAX_VERTICES:
+            raise error(f"vertex id {max_seen} exceeds the largest id {MAX_VERTICES - 1}", max_at)
         n = max_seen + 1
     if max_seen >= n:
         raise error(f"vertex id {max_seen} exceeds declared n={n}", max_at)

@@ -9,15 +9,15 @@ Three decision engines live here:
   subset of them holds that vertex and is closed under taking mates,
   so it is the whole set,
 * the leaf-to-root feasibility pass for arc assignments on trees (the
-  i(v)/o(v) demand system) together with assignment extraction from a
-  known trestle.
+  i(v)/o(v) demand system), over the BFS that the tree keeps from its
+  check, together with assignment extraction from a known trestle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import DomainError, Graph, InternalInvariantError, Tree
+from .graphs import DomainError, Graph, InternalInvariantError, Tree, tree_bfs
 from .patterns import tree_profile
 
 
@@ -264,16 +264,9 @@ def feasible_assignment(t: Tree, k: int) -> ArcAssignment | None:
     counts = tree_profile(t).non_leaf_neighbours
     if max(counts) > k:
         return None
-    need = [max(0, c - 2) for c in counts]
+    need = [c - 2 if c > 2 else 0 for c in counts]
     spare = [k - c for c in counts]
-    parent = [-1] * t.n
-    parent[0] = 0
-    order = [0]
-    for v in order:
-        for w in t.adj[v]:
-            if parent[w] == -1:
-                parent[w] = v
-                order.append(w)
+    parent, order = tree_bfs(t)
     result = ArcAssignment(t)
     for c in reversed(order[1:]):
         if spare[c] < 0:

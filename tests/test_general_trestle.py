@@ -364,6 +364,31 @@ def test_bounded_alpha_matches_brute_force():
         assert _bounded_alpha(g, cap=2) == min(alpha, 2)
 
 
+def test_hub_pair_graph_is_settled_without_the_search(monkeypatch):
+    # the hub's one join contracts three disjoint K_80: a greedy
+    # independent set of 3 meets a greedy cover by 3 cliques, so no
+    # independent set is enumerated
+    settled, searched = [], []
+    bounded, search = general_trestle._bounded_alpha, general_trestle._alpha_search
+
+    def recording_alpha(g, cap=4):
+        settled.append((g.n, bounded(g, cap)))
+        return settled[-1][1]
+
+    def recording_search(masks, cap):
+        searched.append(len(masks))
+        return search(masks, cap)
+
+    monkeypatch.setattr(general_trestle, "_bounded_alpha", recording_alpha)
+    monkeypatch.setattr(general_trestle, "_alpha_search", recording_search)
+    cert = build_general_trestle(three_clique_hub(80), [(0, 1)])
+    assert verify_trestle(cert).passed()
+    assert settled == [(240, 3)] and searched == []
+    # where greedy bounds do not meet, the search answers: C_5 has
+    # alpha 2, a greedy set of 2 and a greedy cover by 3 cliques
+    assert bounded(cycle_graph(5)) == 2 and searched == [5]
+
+
 def test_pendant_clique_builds_a_hamilton_cycle():
     # K_100 with a pendant leaf on every vertex is S(K_{1,3})-free; its
     # one split joins 99 branches over a contracted pair graph K_99, where

@@ -4,8 +4,10 @@ from collections import deque
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from helpers import prufer_trees
 from trestles import graphs
 from trestles.graphs import (
+    MAX_VERTICES,
     DomainError,
     FormatError,
     Graph,
@@ -23,9 +25,11 @@ from trestles.graphs import (
     read_graph6,
     spider,
     square,
+    tree_bfs,
     write_edgelist,
     write_graph6,
 )
+from trestles.obstruction import AttachmentPattern, compose
 
 
 def test_square_of_path():
@@ -56,6 +60,28 @@ def test_tree_validation():
 def test_cutvertices_path_and_cycle():
     assert cutvertices(path_graph(5)) == {1, 2, 3}
     assert cutvertices(cycle_graph(5)) == set()
+
+
+@given(
+    st.integers(0, 14).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))),
+            st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True),
+        )
+    )
+)
+def test_cutvertices_are_the_vertices_whose_removal_adds_a_component(case):
+    n, pairs, ids = case
+    g = Graph(n, [e for e in pairs if e[0] != e[1]])
+    parts = len(components(g))
+    expected = {v for v in range(n) if len(components(g, removed={v})) > parts}
+    assert cutvertices(g) == expected
+    # the same graph on part of a larger id space, keyed by dicts, as a
+    # level of the general builder searches it
+    adj = {ids[v]: [ids[w] for w in g.adj[v]] for v in range(n)}
+    found = graphs.articulation_points(ids, adj, dict.fromkeys(ids, -1), dict.fromkeys(ids, 0))
+    assert found == {ids[v] for v in expected}
 
 
 def test_two_connected():
@@ -169,6 +195,44 @@ def test_edgelist_takes_only_ascii_digits_and_one_header(data, offset, message):
     with pytest.raises(FormatError, match=message) as info:
         read_edgelist(data)
     assert info.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "data, canonical",
+    [
+        # JSON refuses a leading zero, which the line loop reads
+        (b"n=5\n0 1\n1 2\n1 03\n3 4\n", b"n=5\n0 1\n1 2\n1 3\n3 4\n"),
+        (b"n=3\n00 1\n", b"n=3\n0 1\n"),
+        # more digits than int() takes, in the written form: an error
+        (b"n=3\n0 " + b"1" * 5000 + b"\n", None),
+    ],
+)
+def test_written_form_that_json_refuses_reads_as_the_line_loop_does(data, canonical):
+    outcome = read_outcome(read_edgelist, data)
+    assert outcome == read_outcome(graphs._read_edgelist_lines, data)
+    if canonical is not None:
+        assert outcome == read_outcome(read_edgelist, canonical)
+
+
+@pytest.mark.parametrize(
+    "data, offset, message",
+    [
+        (b"n=4000000\n", 0, "vertex count 4000000 exceeds the limit 258047"),
+        (b"n=258048\n0 1\n", 0, "vertex count 258048 exceeds the limit"),
+        (b"# big\nn=258048\n", 6, "vertex count 258048 exceeds the limit"),
+        (b"0 300000\n", 0, "vertex id 300000 exceeds the largest id 258046"),
+        (b"0 1\n2 258047\n1 2\n", 4, "vertex id 258047 exceeds the largest id"),
+    ],
+)
+def test_edgelist_vertex_count_is_capped(data, offset, message):
+    with pytest.raises(FormatError, match=message) as info:
+        read_edgelist(data)
+    assert info.value.offset == offset
+
+
+def test_edgelist_vertex_limit_is_inclusive():
+    assert read_edgelist(b"n=%d\n0 1\n" % MAX_VERTICES).n == MAX_VERTICES
+    assert read_edgelist(b"0 %d\n" % (MAX_VERTICES - 1)).n == MAX_VERTICES
 
 
 def test_edgelist_error_messages():
@@ -341,6 +405,44 @@ def test_as_tree_shares_the_graph():
     t = as_tree(g)
     assert t == g and t.adj is g.adj and t.edges() is g.edges()
     assert as_tree(t) is t
+
+
+def fresh_bfs(g):
+    """Parents and visiting order of a queue BFS from vertex 0 over the
+    sorted neighbour lists."""
+    parent = {0: 0}
+    queue = deque([0])
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in sorted(g.adj[v]):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return [parent.get(v, -1) for v in range(g.n)], order
+
+
+@given(prufer_trees(), prufer_trees(), st.data())
+def test_trees_keep_the_bfs_that_checked_them(t, glue, data):
+    assert t._bfs == fresh_bfs(t) == tree_bfs(t)
+    back = as_tree(Graph(t.n, t.edges()))
+    assert back._bfs == fresh_bfs(t)
+    # renumbered in BFS order, every parent is a smaller id
+    parent, order = fresh_bfs(t)
+    rank = {v: i for i, v in enumerate(order)}
+    built = Tree.from_parents([0] + [rank[parent[v]] for v in order[1:]])
+    assert built._bfs is None
+    assert tree_bfs(built) == fresh_bfs(built) and built._bfs is not None
+    v, w = data.draw(st.permutations(range(glue.n)))[:2]
+    joined, *_ = compose(t, data.draw(st.integers(0, t.n - 1)), AttachmentPattern(glue, v, w))
+    assert joined._bfs == fresh_bfs(joined)
+
+
+def test_plain_graphs_get_a_fresh_bfs():
+    g = path_graph(4)
+    assert tree_bfs(g) == ([0, 0, 1, 2], [0, 1, 2, 3])
+    assert tree_bfs(g) is not tree_bfs(g)
 
 
 def test_is_connected():

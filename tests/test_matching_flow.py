@@ -3,8 +3,9 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given
 
-from helpers import base_patterns, chorded_host_corpus, random_red_graphs
+from helpers import base_patterns, chorded_host_corpus, prufer_trees, random_red_graphs
 
 from trestles.graphs import DomainError, Graph, Tree, path_graph, spider
 from trestles.matching_flow import (
@@ -156,6 +157,17 @@ def test_assignment_infeasible_for_spider4():
 def test_assignment_k2_only_for_caterpillars():
     assert feasible_assignment(path_graph(5), 2) is not None
     assert feasible_assignment(spider(3), 2) is None
+
+
+@given(prufer_trees())
+def test_kept_bfs_gives_the_values_of_a_fresh_one(t):
+    # a plain Graph has no kept BFS, so the pass runs its own
+    g = Graph(t.n, t.edges())
+    for k in range(2, 6):
+        a, b = feasible_assignment(t, k), feasible_assignment(g, k)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.values == b.values
 
 
 def test_assignment_values_validation():

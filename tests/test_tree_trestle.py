@@ -5,9 +5,18 @@ import random
 import pytest
 
 from helpers import random_bounded_tree, random_caterpillar
-from trestles import general_trestle, patterns, tree_trestle
+from trestles import general_trestle, graphs, patterns, tree_trestle
 from trestles.general_trestle import path_square_cycle
-from trestles.graphs import DomainError, InternalInvariantError, Tree, path_graph, spider
+from trestles.graphs import (
+    DomainError,
+    InternalInvariantError,
+    Tree,
+    as_tree,
+    path_graph,
+    read_edgelist,
+    spider,
+    write_edgelist,
+)
 from trestles.obstruction import check_obstruction
 from trestles.matching_flow import ArcAssignment, assignment_from_trestle
 from trestles.oracle import enumerate_trees
@@ -219,3 +228,30 @@ def test_one_profile_count_per_tree(monkeypatch):
                 build_tree_trestle(t, k, a)
         check_obstruction(t)
         assert counted == [t]
+
+
+def test_decide_after_as_tree_traverses_nothing_again(monkeypatch):
+    # the BFS that checks the input is a tree is the one every decision,
+    # build and witness on it reads
+    searched = []
+
+    def counting(g):
+        searched.append(g)
+        return bfs(g)
+
+    rng = random.Random(7)
+    trees = (spider(3), random_bounded_tree(rng, 60, maxdeg=3), random_caterpillar(rng, 30))
+    bfs = graphs._bfs
+    monkeypatch.setattr(graphs, "_bfs", counting)
+    monkeypatch.setattr(graphs, "is_connected", None)
+    for tree in trees:
+        g = read_edgelist(write_edgelist(tree))
+        t = as_tree(g)
+        assert searched == [g]
+        for k in (2, 3, 4):
+            a = decide_tree_trestle(t, k)
+            if a is not None:
+                build_tree_trestle(t, k, a)
+        check_obstruction(t)
+        assert searched == [g]
+        searched.clear()
