@@ -5,8 +5,10 @@ verdict, with the witness on stdout, or with the reason ``host graph
 is not connected`` from ``build`` at any k: a disconnected square has
 no 2-connected spanning subgraph), a failed ``verify`` check or a
 ``validate`` disagreement, 2 usage or format error (a certificate that
-is not UTF-8 JSON too, and ``validate`` with a ``--max-n`` below 3,
-which would check no tree, or a ``--jobs`` below 1), 3 internal fault
+is not UTF-8 JSON too, ``validate`` with a ``--max-n`` below 3, which
+would check no tree, or a ``--jobs`` below 1, and an option that the
+command does not read: ``--k`` on ``obstruction``, which checks k = 3
+only, or ``--dot`` on ``decide`` and ``verify``), 3 internal fault
 (an invariant violation, or any other unexpected exception, reported
 on stderr with its traceback), 4 no verdict (a search budget exhausted, a
 ``derive-patterns`` search undetermined within its ``--max-n``, or a
@@ -302,23 +304,25 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_k=True):
+    # each command takes only the options it reads
+    def common(p, k=False, dot=False):
         p.add_argument("input", nargs="?", help="input path, or - for stdin")
         p.add_argument(
             "--format", choices=("graph6", "edgelist"), default="edgelist"
         )
-        p.add_argument("--dot", help="also write DOT to this path")
-        if with_k:
+        if dot:
+            p.add_argument("--dot", help="also write DOT to this path")
+        if k:
             p.add_argument("--k", type=int, default=3)
 
-    common(sub.add_parser("square", help="square of the input graph"), with_k=False)
-    common(sub.add_parser("centres", help="centres of induced S(K_{1,k})"))
-    common(sub.add_parser("decide", help="k-trestle feasibility for a tree"))
-    common(sub.add_parser("build", help="build and verify a trestle certificate"))
+    common(sub.add_parser("square", help="square of the input graph"), dot=True)
+    common(sub.add_parser("centres", help="centres of induced S(K_{1,k})"), k=True, dot=True)
+    common(sub.add_parser("decide", help="k-trestle feasibility for a tree"), k=True)
+    common(sub.add_parser("build", help="build and verify a trestle certificate"), k=True, dot=True)
     verify_p = sub.add_parser("verify", help="re-check a certificate")
-    common(verify_p)
+    common(verify_p, k=True)
     verify_p.add_argument("--certificate", required=True, help="JSON certificate path")
-    common(sub.add_parser("obstruction", help="obstruction witness for a tree"))
+    common(sub.add_parser("obstruction", help="obstruction witness for a tree at k = 3"), dot=True)
 
     derive_p = sub.add_parser("derive-patterns", help="re-derive base obstruction patterns")
     derive_p.add_argument("--max-n", type=int, default=16)

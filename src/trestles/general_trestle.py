@@ -97,17 +97,19 @@ contracted pair graph: one vertex per branch, two joined when their
 pairs meet in the level.  One map from each pair vertex to its pair's
 index and one pass over those vertices' neighbour lists give its
 edges; the neighbourhood vertices outside the map are the leftover
-gates.  That graph is fixed by the pair count, its edges and the
-anchored pair, and ``_bounded_alpha`` and ``linear_forest_for`` read
-nothing else, so ``_Levels.joins`` keeps both answers per key for the
-build.  Only a key met for the first time builds a ``Graph`` and
-solves it; each join still checks the independence bound and expands
-its own pairs.  ``_bounded_alpha`` first compares a greedy independent
-set with a greedy clique cover and enumerates independent sets only
-when the two differ.  A hub joined to three disjoint K_80, with a
-pendant leaf on each clique vertex, has one join whose pair graph is
-three disjoint K_80: its build took 0.27 s with the enumeration and
-0.05 s without it (best of 5, Python 3.11, 2-core machine).
+gates.  The paper's join lemma bounds that graph's independence number
+by 3 in an S(K_{1,4})-free host, with c matched when it is 3.  The
+construction uses only a consequence: ``linear_forest_for`` gives at
+most independence-number many paths (Gallai-Milgram; ``path_cover``
+checks each cover against an independent transversal), so there are
+at most 3, and when there are 3 one is led by c's partner, which the
+theta graph joins to the other two leads.  The join checks exactly
+that: more than three paths, or three with no anchored lead, is an
+internal fault.  The graph is fixed by the pair count, its edges and
+the anchored pair, and ``linear_forest_for`` reads nothing else, so
+``_Levels.joins`` keeps its paths per key for the build.  Only a key
+met for the first time builds a ``Graph`` and solves it; each join
+still checks the path count and expands its own pairs.
 ``_expand_pairs`` orients a path's pairs by one ordered search: a
 backward pass keeps, at each position, the orientations from which the
 rest can still be walked in the square, and a forward pass takes the
@@ -253,59 +255,6 @@ def _path_branch_edges(path: list[int]) -> list[tuple[int, int]]:
     return [*zip(path, path[2:]), (path[-2], path[-1])]
 
 
-def _bounded_alpha(g: Graph, cap: int = 4) -> int:
-    """min(independence number, cap); enough to check the alpha <= 3 bound.
-
-    A greedy independent set in id order bounds alpha from below, and a
-    greedy cover by cliques (each vertex joins the first clique it is
-    adjacent to all of) from above: when they meet, or the set reaches
-    ``cap``, that settles it, as on three disjoint cliques.  Otherwise
-    ``_alpha_search`` answers.
-    """
-    masks = g.adjacency_masks()
-    # the vertices adjacent to one already in the set
-    blocked = size = 0
-    for v, near in enumerate(masks):
-        if not (blocked >> v) & 1:
-            blocked |= near
-            size += 1
-            if size >= cap:
-                return cap
-    # the cover stops once it needs more cliques than the set has vertices
-    cliques: list[int] = []
-    for v, near in enumerate(masks):
-        for i, clique in enumerate(cliques):
-            if clique & near == clique:
-                cliques[i] |= 1 << v
-                break
-        else:
-            if len(cliques) == size:
-                return _alpha_search(masks, cap)
-            cliques.append(1 << v)
-    return size
-
-
-def _alpha_search(masks: list[int], cap: int) -> int:
-    """min(independence number, cap) of the graph with neighbourhood
-    bitmasks ``masks``: depth-first over independent sets in increasing
-    id order, where a set is extended only by later vertices adjacent
-    to none of its members, stopping at the first set of size ``cap``."""
-    best = 0
-    # (size of an independent set, bitmask of the vertices that extend it)
-    stack = [(0, (1 << len(masks)) - 1)]
-    while stack:
-        size, extend = stack.pop()
-        if size > best:
-            best = size
-            if best >= cap:
-                return cap
-        while extend:
-            low = extend & -extend
-            extend ^= low
-            stack.append((size + 1, extend & ~masks[low.bit_length() - 1]))
-    return best
-
-
 def _expand_pairs(
     path: tuple[int, ...],
     pairs: list[tuple[int, int]],
@@ -389,9 +338,9 @@ class _Levels:
         self.centre = [v in x for v in range(g.n)]
         self.partner = partner
         self.result: list[set[int]] = [set() for _ in range(g.n)]
-        # (pair count, contracted edges, anchor) -> (bounded independence
-        # number, linear forest paths) of each contracted pair graph met
-        self.joins: dict[tuple, tuple[int, tuple[tuple[int, ...], ...]]] = {}
+        # (pair count, contracted edges, anchor) -> linear forest paths
+        # of each contracted pair graph met
+        self.joins: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
     def dummy(self, depth: int) -> int:
         """The id of the dummy of a branch at ``depth``, with its slots."""
@@ -913,18 +862,11 @@ class _Cut:
         a_vertex = lv.partner.get(c)
         anchor = tuple(i for i, (u, _) in enumerate(pairs) if u == a_vertex)
         key = (k, edges, anchor)
-        solved = lv.joins.get(key)
-        if solved is None:
-            contracted = Graph(k, edges)
-            solved = lv.joins[key] = (
-                _bounded_alpha(contracted),
-                linear_forest_for(contracted, set(anchor)),
-            )
-        alpha, paths = solved
-        if alpha > 3:
-            raise InternalInvariantError("contracted pair graph has independence number > 3")
-        if alpha == 3 and a_vertex is None:
-            raise InternalInvariantError("three independent pairs but the cutvertex is unmatched")
+        paths = lv.joins.get(key)
+        if paths is None:
+            paths = lv.joins[key] = linear_forest_for(Graph(k, edges), set(anchor))
+        if len(paths) > 3:
+            raise InternalInvariantError("linear forest over the pairs has more than three paths")
         expanded = [_expand_pairs(p, pairs, view, a_vertex) for p in paths]
 
         p_rest = sorted(v for v in nc if v not in at)

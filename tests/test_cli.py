@@ -252,6 +252,28 @@ def test_build_squares_the_host_only_for_dot(capsys, monkeypatch, tmp_path, p5):
 
 
 @pytest.mark.parametrize(
+    "command, option",
+    [("obstruction", ["--k", "5"]), ("decide", ["--dot"]), ("verify", ["--dot"])],
+    ids=["obstruction-k", "decide-dot", "verify-dot"],
+)
+def test_options_a_command_ignores_are_usage_errors(capsys, tmp_path, sk14, command, option):
+    # obstruction checks k = 3 only, and decide and verify write no DOT
+    dot = tmp_path / "x.dot"
+    argv = [command, sk14, *option]
+    if option == ["--dot"]:
+        argv.append(str(dot))
+    if command == "verify":
+        argv += ["--certificate", str(tmp_path / "c.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option[0]}" in captured.err
+    assert not dot.exists()
+
+
+@pytest.mark.parametrize(
     "edges", [[[0]], [[0, 9]], "xx"], ids=["short-pair", "out-of-range", "not-a-list"]
 )
 def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, edges):

@@ -25,7 +25,7 @@ from helpers import (
 )
 
 from trestles import general_trestle, graphs
-from trestles.general_trestle import _bounded_alpha, build_general_trestle, path_square_cycle
+from trestles.general_trestle import build_general_trestle, path_square_cycle
 from trestles.graphs import (
     DomainError,
     Graph,
@@ -38,6 +38,7 @@ from trestles.graphs import (
     square,
 )
 from trestles.matching_flow import theorem1_matching
+from trestles.oracle import independence_number
 from trestles.path_cover import linear_forest_for
 from trestles.patterns import NeighbourSets, centres, has_spider3, is_spider_free, spider_witness
 from trestles.verify import TrestleCertificate, verify_trestle
@@ -296,10 +297,10 @@ def test_join_memo_matches_fresh_solves(monkeypatch):
         build_general_trestle(g, m.edge_list)
     keys = []
     for lv in states:
-        for (k, edges, anchor), (alpha, paths) in lv.joins.items():
+        for (k, edges, anchor), paths in lv.joins.items():
             contracted = Graph(k, edges)
-            assert alpha == _bounded_alpha(contracted)
             assert paths == linear_forest_for(contracted, set(anchor))
+            assert len(paths) <= independence_number(contracted) <= 3
             keys.append(anchor)
     # most joins find their contracted pair graph already solved, and
     # the anchored pair is part of the key
@@ -310,6 +311,19 @@ def test_join_memo_matches_fresh_solves(monkeypatch):
     build_general_trestle(g, m.edge_list)
     assert len(states) == len(hosts) + 1
     assert states[-1] is not states[-2] and states[-1].joins == states[-2].joins
+    # the paper's join lemma, which the join itself does not check: in an
+    # S(K_{1,4})-free host every contracted pair graph has independence
+    # number <= 3, so a fault that breaks it while the forest keeps at
+    # most three paths still fails here
+    del states[:]
+    for g, m in matched_spider_free_instances(seed=7, count=300):
+        build_general_trestle(g, m.edge_list)
+    bounded = 0
+    for lv in states:
+        for (k, edges, _), paths in lv.joins.items():
+            assert len(paths) <= independence_number(Graph(k, edges)) <= 3
+            bounded += 1
+    assert bounded > len(states) > 250
 
 
 def test_distance_two_pairs_match_the_pair_scan():
@@ -348,51 +362,56 @@ def test_chorded_prufer_hosts_build_with_exact_degrees(t, chords, rng):
     assert report.passed(), report.failed_checks()
 
 
-def test_bounded_alpha_matches_brute_force():
-    rng = random.Random(17)
-    for _ in range(400):
-        n = rng.randint(0, 11)
-        p = rng.random()
-        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-        alpha = max(
-            size
-            for size in range(n + 1)
-            for combo in itertools.combinations(range(n), size)
-            if not any(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2))
-        )
-        assert _bounded_alpha(g) == min(alpha, 4)
-        assert _bounded_alpha(g, cap=2) == min(alpha, 2)
+def test_hub_over_three_k80_joins_three_paths(monkeypatch):
+    # the hub's one join contracts three disjoint K_80, 240 pairs in all,
+    # and spans them with three paths
+    forest, found = general_trestle.linear_forest_for, []
 
+    def recording_forest(g, independent):
+        paths = forest(g, independent)
+        found.append((g.n, len(paths)))
+        return paths
 
-def test_hub_pair_graph_is_settled_without_the_search(monkeypatch):
-    # the hub's one join contracts three disjoint K_80: a greedy
-    # independent set of 3 meets a greedy cover by 3 cliques, so no
-    # independent set is enumerated
-    settled, searched = [], []
-    bounded, search = general_trestle._bounded_alpha, general_trestle._alpha_search
-
-    def recording_alpha(g, cap=4):
-        settled.append((g.n, bounded(g, cap)))
-        return settled[-1][1]
-
-    def recording_search(masks, cap):
-        searched.append(len(masks))
-        return search(masks, cap)
-
-    monkeypatch.setattr(general_trestle, "_bounded_alpha", recording_alpha)
-    monkeypatch.setattr(general_trestle, "_alpha_search", recording_search)
+    monkeypatch.setattr(general_trestle, "linear_forest_for", recording_forest)
     cert = build_general_trestle(three_clique_hub(80), [(0, 1)])
     assert verify_trestle(cert).passed()
-    assert settled == [(240, 3)] and searched == []
-    # where greedy bounds do not meet, the search answers: C_5 has
-    # alpha 2, a greedy set of 2 and a greedy cover by 3 cliques
-    assert bounded(cycle_graph(5)) == 2 and searched == [5]
+    assert found == [(240, 3)]
+
+
+def _paired_legs(legs: int) -> Graph:
+    """A cutvertex 0 with ``legs`` legs of two vertices each, the first
+    vertices of legs 2i and 2i + 1 joined: no vertex centres an induced
+    S(K_{1,3}), and the one join contracts ``legs`` pairs, with 0
+    unmatched."""
+    edges = []
+    for i in range(legs):
+        mid, leaf = 1 + 2 * i, 2 + 2 * i
+        edges += [(0, mid), (mid, leaf)]
+        if i % 2:
+            edges.append((mid - 2, mid))
+    return Graph(1 + 2 * legs, edges)
+
+
+@pytest.mark.parametrize(
+    "legs, message",
+    [(4, "more than three paths"), (3, "three paths but none is anchored")],
+    ids=["four-paths", "three-unanchored"],
+)
+def test_join_checks_the_paths_it_uses(monkeypatch, legs, message):
+    # a forest of one path per pair: four paths, or three with 0 unmatched
+    g = _paired_legs(legs)
+    assert centres(g, 3) == set() and verify_trestle(build_general_trestle(g, ())).passed()
+    monkeypatch.setattr(
+        general_trestle, "linear_forest_for", lambda h, independent: tuple((i,) for i in range(h.n))
+    )
+    with pytest.raises(general_trestle.InternalInvariantError, match=message):
+        build_general_trestle(g, ())
 
 
 def test_pendant_clique_builds_a_hamilton_cycle():
     # K_100 with a pendant leaf on every vertex is S(K_{1,3})-free; its
-    # one split joins 99 branches over a contracted pair graph K_99, where
-    # trying every 4-subset for the alpha <= 3 check took seconds
+    # one split joins 99 branches over a contracted pair graph K_99, which
+    # one path spans
     m = 100
     g = Graph(2 * m, list(complete_graph(m).edges()) + [(i, m + i) for i in range(m)])
     assert builder_matching(g).size() == 0
@@ -591,7 +610,7 @@ def _record_joins(monkeypatch):
             lv.joins = _KeyLog(lv.joins)
         join(self)
         assert lv.joins.last == key
-        seen.append((key, rest, a_vertex, lv.joins[key][1]))
+        seen.append((key, rest, a_vertex, lv.joins[key]))
 
     monkeypatch.setattr(general_trestle._Cut, "join", scanned_join)
     return seen
@@ -618,7 +637,7 @@ def test_hub_over_three_cliques_joins_three_paths(monkeypatch):
         assert cert.degrees()[2:] == [2] * (g.n - 2)
         (k, edges, anchor), rest, a_vertex, paths = seen[-1]
         assert a_vertex == 1 and len(paths) == 3
-        assert _bounded_alpha(Graph(k, edges)) == 3
+        assert independence_number(Graph(k, edges)) == 3
         assert (anchor != ()) == anchored and (1 in rest) == (not anchored)
 
 
