@@ -8,7 +8,9 @@ no 2-connected spanning subgraph), a failed ``verify`` check or a
 is not UTF-8 JSON too, ``validate`` with a ``--max-n`` below 3, which
 would check no tree, or a ``--jobs`` below 1, and an option that the
 command does not read: ``--k`` on ``obstruction``, which checks k = 3
-only, or ``--dot`` on ``decide`` and ``verify``), 3 internal fault
+only, and on ``verify``, which checks the k that the certificate names
+(one without an integer ``k`` is a format error), or ``--dot`` on
+``decide`` and ``verify``), 3 internal fault
 (an invariant violation, or any other unexpected exception, reported
 on stderr with its traceback), 4 no verdict (a search budget exhausted, a
 ``derive-patterns`` search undetermined within its ``--max-n``, or a
@@ -181,7 +183,7 @@ def _cmd_verify(args) -> int:
         payload = payload["certificate"]
     if not isinstance(payload, dict) or "edges" not in payload:
         raise DomainError("certificate must be a JSON object with an 'edges' list")
-    k = payload.get("k", args.k)
+    k = payload.get("k")
     if type(k) is not int:
         raise DomainError("certificate 'k' must be an integer")
     cert = TrestleCertificate.of(
@@ -320,7 +322,7 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("decide", help="k-trestle feasibility for a tree"), k=True)
     common(sub.add_parser("build", help="build and verify a trestle certificate"), k=True, dot=True)
     verify_p = sub.add_parser("verify", help="re-check a certificate")
-    common(verify_p, k=True)
+    common(verify_p)
     verify_p.add_argument("--certificate", required=True, help="JSON certificate path")
     common(sub.add_parser("obstruction", help="obstruction witness for a tree at k = 3"), dot=True)
 

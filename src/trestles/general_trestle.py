@@ -109,15 +109,28 @@ internal fault.  The graph is fixed by the pair count, its edges and
 the anchored pair, and ``linear_forest_for`` reads nothing else, so
 ``_Levels.joins`` keeps its paths per key for the build.  Only a key
 met for the first time builds a ``Graph`` and solves it; each join
-still checks the path count and expands its own pairs.
-``_expand_pairs`` orients a path's pairs by one ordered search: a
-backward pass keeps, at each position, the orientations from which the
-rest can still be walked in the square, and a forward pass takes the
-first that fits, so the result is the first feasible orientation in
-order.  A path of one pair has nothing to walk: its first orientation
-is (gate, other entry), or the reverse when the anchor is the other
-entry, and it is returned without the search (about 99 % of the paths
-on chorded hosts).  The memo lives and dies with the build's state.
+still checks the path count and expands its own pairs.  The memo lives
+and dies with the build's state.
+
+Pair orientation.  ``_expand_pairs`` orients a path's pairs greedily,
+and this lemma shows that it never gets stuck.  Every pair is an edge
+of the level: a branch B_i is a component of T minus c and T holds the
+star at c, so in B_i's level (B_i, c and the dummy) c's only neighbour
+in B_i is the gate u_i, and every vertex within distance 2 of c or of
+the dummy is u_i or a neighbour of u_i; ``enter``'s w_i and
+``close``'s ``path[1]`` are such vertices.  Consecutive pairs P and Q
+of a forest path are joined by an arc (``path_cover._check`` verifies
+every step), so some p in P is adjacent to some q in Q.  Each x in P is
+p or adjacent to p through P's own edge, so x is within distance 2 of
+q, and x is not q since the branches are disjoint.  So whichever
+vertex of P a walk ends at, Q fits after it: (u, w) when u is within
+distance 2 of it, else (w, u).  Every prefix extends, so the greedy
+walk is also the first orientation in order, (u, w) before (w, u) at
+every position, of all that walk in the square.  c's partner is a
+neighbour of c in the level, and ``enter`` refuses a w_i in c's
+neighbourhood (``path[1]`` is not in it either), so an anchored pair
+is led by its gate: the path is read from the anchored end, and every
+path starts with its first pair as (u, w).
 
 Cutvertices.  A branch that no dropped edge meets is a whole component
 of the level minus c.  The rest of the level meets it only at c and
@@ -261,46 +274,33 @@ def _expand_pairs(
     view,
     a_vertex: int | None,
 ) -> list[int]:
-    """Replace each contracted pair by (u, w) or (w, u).
+    """Replace each contracted pair (u, w), u the gate, by (u, w) or
+    (w, u), so that the result is a path in the square of the graph
+    ``view`` that starts at a gate.
 
-    The result must be a path in the square of the graph ``view``; one
-    end must be a gate u (in c's neighbourhood), and if a_vertex sits
-    inside one of the pairs that pair comes first, led by a_vertex.
-    Otherwise the first pair is led by its gate or, failing that, the
-    last pair is trailed by its gate.  Each try takes the first
-    orientation in order, (u, w) before (w, u) at every position.  A
-    path of one pair is (u, w), or (w, u) when a_vertex is w.
+    The path is read from the end whose pair holds a_vertex, if one
+    does; the first pair is (u, w), and each later pair is (u, w) when
+    u is within distance 2 of the last vertex so far, (w, u) otherwise.
+    The module docstring ("Pair orientation") shows that this never
+    gets stuck and that a_vertex, when in a pair, is its gate.
     """
     if len(path) == 1:
-        u, w = pairs[path[0]]
-        return [w, u] if a_vertex == w else [u, w]
+        return list(pairs[path[0]])
     seq = [pairs[i] for i in path]
     held = [a_vertex in pair for pair in seq]
     if any(held[1:-1]):
         raise InternalInvariantError("anchored pair is not at a path end")
     if held[-1]:
         seq.reverse()
-    options = [[(u, w), (w, u)] for u, w in seq]
-    if a_vertex in seq[0]:
-        u, w = seq[0]
-        tries = [[[(a_vertex, w if a_vertex == u else u)]] + options[1:]]
-    else:
-        tries = [[options[0][:1]] + options[1:], options[:-1] + [options[-1][1:]]]
-    for opts in tries:
-        # backwards, keep the options from which the rest can be walked
-        # in the square; forwards, take the first one that fits
-        live = [opts[-1]]
-        for here in reversed(opts[:-1]):
-            firsts = [x for x, _ in live[-1]]
-            live.append([o for o in here if any(_within_two(view, o[1], x) for x in firsts)])
-        live.reverse()
-        if not live[0]:
-            continue
-        out = list(live[0][0])
-        for here in live[1:]:
-            out.extend(next(o for o in here if _within_two(view, out[-1], o[0])))
-        return out
-    raise InternalInvariantError("pair expansion found no square path")
+    out = list(seq[0])
+    for u, w in seq[1:]:
+        if _within_two(view, out[-1], u):
+            out += (u, w)
+        elif _within_two(view, out[-1], w):
+            out += (w, u)
+        else:
+            raise InternalInvariantError("consecutive pairs are not within distance 2")
+    return out
 
 
 class _View(dict):

@@ -577,8 +577,6 @@ def write_graph(g: Graph, fmt: str) -> bytes:
         return write_graph6(g) + b"\n"
     if fmt == "edgelist":
         return write_edgelist(g)
-    if fmt == "dot":
-        return write_dot(g)
     raise DomainError(f"unknown output format {fmt!r}")
 
 

@@ -13,20 +13,26 @@ with an arc from terminal t_i to the terminal v of path j.  If path j
 is v alone, joining it after t_i shrinks T.  Otherwise let w precede v
 and cover the digraph minus v by cutting v off: a transversal found
 there serves here too, and a cover Q found there, with terminals
-strictly inside T - {v} + {w}, takes v back after w if w is still a
-terminal of Q; as a new path if Q's terminals lie strictly inside
-T - {v}; and after t_i otherwise, since Q's terminals are then T - {v}.
+strictly inside T' = T - {v} + {w}, takes v back after w if w is still
+a terminal of Q, and after t_i otherwise.  The proof has a third case,
+v as a new path when Q's terminals lie strictly inside T - {v}, which
+this induction never meets, since each step removes exactly one
+terminal.  Joining a lone v after t_i removes exactly t_i.  Let Q have
+terminals T' - {x}.  If x is not w, v goes after w and the result has
+terminals T - {x}.  If x is w, Q's terminals are exactly T - {v}, not
+strictly inside it, and t_i is one of them (it is in T, and is not v),
+so v goes after t_i and the result has terminals T - {t_i}.
 
 Here that induction is one loop.  A round copies its cover once and
 descends on the copy: each level cuts v off and pushes the frame
-(v, w, t_i, T), until a level joins a single vertex j after t_i or
-finds no terminal arc.  No arc ends the construction with the round's
-own cover and the deepest terminals, one on each of its paths.  A join
-unwinds the frames deepest first, each applying the three cases in
-that order to the same copy.  That is the recursive order: each call
-only changes the cover its inner call returned, so every level sees
-the cover the recursion would hand it.  Each round shrinks the
-terminal set, so there are at most n.
+(v, w, t_i), until a level joins a single vertex j after t_i or finds
+no terminal arc.  No arc ends the construction with the round's own
+cover and the deepest terminals, one on each of its paths.  A join
+unwinds the frames deepest first, each applying the two cases in that
+order to the same copy.  That is the recursive order: each call only
+changes the cover its inner call returned, so every level sees the
+cover the recursion would hand it.  Each round removes one terminal,
+so there are at most n.
 """
 
 from __future__ import annotations
@@ -87,19 +93,15 @@ def gallai_milgram_cover(out: Sequence[int]) -> tuple[Paths, tuple[int, ...]]:
                 break
             v = cover[j].pop()
             w = terminals[j] = cover[j][-1]
-            frames.append((v, w, terminals[i], mask))
+            frames.append((v, w, terminals[i]))
             mask ^= 1 << v | 1 << w
         v = cover.pop(j)[0]
         cover[i - 1 if j < i else i].append(v)
         # terminal -> its path in the cover being unwound
         where = {p[-1]: x for x, p in enumerate(cover)}
-        for v, w, t_i, old in reversed(frames):
+        for v, w, t_i in reversed(frames):
             if w in where:
                 x = where.pop(w)
-            elif (q := sum(1 << t for t in where)) | old == old and q != old ^ 1 << v:
-                # strictly inside T - {v}, as v was cut off and is no terminal
-                x = len(cover)
-                cover.append([])
             elif t_i in where:
                 x = where.pop(t_i)
             else:

@@ -7,7 +7,18 @@ from helpers import EAR_HOST_17, RINGED_SPIDER_13, base_patterns
 
 from trestles import cli, general_trestle, obstruction, oracle, tree_trestle
 from trestles.cli import main
-from trestles.graphs import Graph, Tree, cycle_graph, path_graph, spider, write_edgelist, write_graph6
+from trestles.graphs import (
+    Graph,
+    InternalInvariantError,
+    Tree,
+    cycle_graph,
+    path_graph,
+    read_graph6,
+    spider,
+    square,
+    write_edgelist,
+    write_graph6,
+)
 from trestles.matching_flow import theorem1_matching
 from trestles.patterns import centres
 
@@ -150,6 +161,15 @@ def test_square_roundtrip(capsys, p5):
     assert "0 2" in out
 
 
+def test_square_in_graph6(capsys, tmp_path):
+    path = tmp_path / "p5.g6"
+    path.write_bytes(write_graph6(path_graph(5)))
+    code, out = run(capsys, "square", str(path), "--format", "graph6")
+    assert code == 0
+    assert out == write_graph6(square(path_graph(5))).decode() + "\n"
+    assert read_graph6(out.encode()).edges() == square(path_graph(5)).edges()
+
+
 def test_centres(capsys, sk14):
     code, out = run(capsys, "centres", sk14, "--k", "4")
     assert code == 0
@@ -164,12 +184,21 @@ def test_graph6_input(capsys, tmp_path):
     assert json.loads(out)["feasible"] is True
 
 
+def test_decide_prints_the_assignment(capsys, tmp_path):
+    # S(K_{1,3}) with legs of length 2: the one arc 3 -> 0 carries 1
+    path = tmp_path / "s3.el"
+    path.write_bytes(write_edgelist(spider(3)))
+    code, out = run(capsys, "decide", str(path), "--k", "3")
+    assert code == 0
+    assert out == '{\n  "assignment": {\n    "3->0": 1\n  },\n  "feasible": true\n}\n'
+
+
 def test_build_then_verify(capsys, tmp_path, p5):
     code, out = run(capsys, "build", p5, "--k", "2")
     assert code == 0
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(out)
-    code, out = run(capsys, "verify", p5, "--certificate", str(cert_path), "--k", "2")
+    code, out = run(capsys, "verify", p5, "--certificate", str(cert_path))
     assert code == 0
     assert json.loads(out)["pass"] is True
 
@@ -180,7 +209,7 @@ def test_verify_rejects_tampered(capsys, tmp_path, p5):
     payload["certificate"]["edges"] = payload["certificate"]["edges"][:-1]
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(payload))
-    code, out = run(capsys, "verify", p5, "--certificate", str(cert_path), "--k", "2")
+    code, out = run(capsys, "verify", p5, "--certificate", str(cert_path))
     assert code == 1
     assert json.loads(out)["pass"] is False
 
@@ -194,7 +223,7 @@ def test_verify_fails_a_repeated_edge(capsys, tmp_path, p5, twice):
     payload["certificate"]["edges"].append(twice)
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(payload))
-    code, out = run(capsys, "verify", p5, "--certificate", str(cert_path), "--k", "2")
+    code, out = run(capsys, "verify", p5, "--certificate", str(cert_path))
     assert code == 1
     checks = {c["check"]: c for c in json.loads(out)["checks"]}
     assert checks["edges_in_square"] == {
@@ -253,11 +282,17 @@ def test_build_squares_the_host_only_for_dot(capsys, monkeypatch, tmp_path, p5):
 
 @pytest.mark.parametrize(
     "command, option",
-    [("obstruction", ["--k", "5"]), ("decide", ["--dot"]), ("verify", ["--dot"])],
-    ids=["obstruction-k", "decide-dot", "verify-dot"],
+    [
+        ("obstruction", ["--k", "5"]),
+        ("verify", ["--k", "2"]),
+        ("decide", ["--dot"]),
+        ("verify", ["--dot"]),
+    ],
+    ids=["obstruction-k", "verify-k", "decide-dot", "verify-dot"],
 )
 def test_options_a_command_ignores_are_usage_errors(capsys, tmp_path, sk14, command, option):
-    # obstruction checks k = 3 only, and decide and verify write no DOT
+    # obstruction checks k = 3 only, verify the k its certificate names,
+    # and decide and verify write no DOT
     dot = tmp_path / "x.dot"
     argv = [command, sk14, *option]
     if option == ["--dot"]:
@@ -286,6 +321,40 @@ def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, edges):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: certificate 'edges' must be")
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"edges": [[0, 1]]}, "certificate 'k' must be an integer"),
+        ({"k": "2", "edges": [[0, 1]]}, "certificate 'k' must be an integer"),
+        ([[0, 1]], "certificate must be a JSON object with an 'edges' list"),
+    ],
+    ids=["no-k", "k-not-int", "not-an-object"],
+)
+def test_certificate_k_and_shape_are_usage_errors(capsys, tmp_path, p5, payload, message):
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps(payload))
+    code = main(["verify", p5, "--certificate", str(cert)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_internal_invariant_violation_is_exit_3(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "c6.el"
+    path.write_bytes(write_edgelist(cycle_graph(6)))
+
+    def broken(g, matching_edges):
+        raise InternalInvariantError("pair edge missing from the theta graph")
+
+    monkeypatch.setattr(general_trestle, "build_general_trestle", broken)
+    code = main(["build", str(path), "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal invariant violated: pair edge missing from the theta graph\n"
 
 
 def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch, tmp_path):

@@ -554,18 +554,46 @@ def _hub_hosts():
     return [three_clique_hub(m, bare) for m, bare in ((4, 0), (4, 1), (6, 2))]
 
 
+def _densely_chorded_hosts(seed: int, count: int):
+    """``count`` seeded hosts in the builder's domain with a cutvertex:
+    random trees of maximum degree 3 to 6 with up to n/2 chords, whose
+    joins have several pairs, anchored ones too, far more often than
+    the sparse corpora's."""
+    rng = random.Random(seed)
+    found = 0
+    while found < count:
+        n = rng.randint(6, 30)
+        g = sprinkle_chords(rng, random_bounded_tree(rng, n, rng.randint(3, 6)), rng.randint(0, n // 2))
+        if not cutvertices(g):
+            continue
+        matching = builder_matching(g)
+        if matching is not None:
+            found += 1
+            yield g, matching
+
+
 def test_expand_pairs_is_the_first_orientation_in_order(monkeypatch):
     # every expansion the builder makes over these hosts is the
-    # lexicographically first orientation of the try that succeeds
+    # lexicographically first orientation led by the first pair's gate,
+    # and meets the premises of the join lemma (module docstring)
     expand = general_trestle._expand_pairs
-    tries = []
+    tries, multi, anchored = [], [], []
 
     def recording(*args):
         path, pairs, view, a_vertex = args[0], args[1], args[2], args[-1]
+        assert all(w in view[u] for u, w in pairs)
+        assert all(
+            any(q in view[p] for p in pairs[i] for q in pairs[j]) for i, j in zip(path, path[1:])
+        )
+        assert all(a_vertex != w for _, w in pairs)
         out = expand(*args)
         how, expected = _expand_by_brute_force(path, pairs, view, a_vertex)
         assert out == expected
         tries.append(how)
+        if len(path) > 1:
+            multi.append(path)
+            if how == "anchored":
+                anchored.append(path)
         return out
 
     monkeypatch.setattr(general_trestle, "_expand_pairs", recording)
@@ -573,7 +601,13 @@ def test_expand_pairs_is_the_first_orientation_in_order(monkeypatch):
         build_general_trestle(g, m.edge_list)
     for g in _hub_hosts():
         build_general_trestle(g, [(0, 1)])
-    assert {"anchored", "lead"} <= set(tries)
+    for g, m in _densely_chorded_hosts(seed=22, count=300):
+        build_general_trestle(g, m.edge_list)
+    # the lead always succeeds, so the brute force never trails
+    assert {"anchored", "lead"} == set(tries)
+    # the dense hosts give most of the multi-pair paths and nearly all
+    # the anchored ones: 221 of 248 and 78 of 79
+    assert len(multi) > 200 and len(anchored) > 50
 
 
 class _KeyLog(dict):
@@ -641,21 +675,23 @@ def test_hub_over_three_cliques_joins_three_paths(monkeypatch):
         assert (anchor != ()) == anchored and (1 in rest) == (not anchored)
 
 
-def test_expand_pairs_tries_in_order():
-    # pairs (gate, other) 1-2 and 3-4; only 1-4 is an edge, so no walk
-    # leads with the gate 1, and the gate 3 trails instead
-    view = {1: [4], 2: [], 3: [], 4: [1]}
+def test_expand_pairs_orients_greedily():
+    # pairs (gate, other) 1-2 and 3-4, each an edge, meeting at 1-4: after
+    # 2 the gate 3 is not within distance 2, so 3-4 is walked as (4, 3)
+    view = {1: [2, 4], 2: [1], 3: [4], 4: [1, 3]}
     pairs = [(1, 2), (3, 4)]
     expand = general_trestle._expand_pairs
-    assert expand((0, 1), pairs, view, None) == [2, 1, 4, 3]
-    assert _expand_by_brute_force((0, 1), pairs, view, None) == ("trail", [2, 1, 4, 3])
+    assert expand((0, 1), pairs, view, None) == [1, 2, 4, 3]
+    assert _expand_by_brute_force((0, 1), pairs, view, None) == ("lead", [1, 2, 4, 3])
     # anchored at 3, the path is read from its other end
     assert expand((0, 1), pairs, view, 3) == [3, 4, 1, 2]
     assert _expand_by_brute_force((0, 1), pairs, view, 3) == ("anchored", [3, 4, 1, 2])
+    assert expand((1,), pairs, view, 3) == [3, 4]
     with pytest.raises(general_trestle.InternalInvariantError, match="not at a path end"):
-        expand((0, 1, 2), pairs + [(5, 6)], {**view, 5: [], 6: []}, 4)
-    with pytest.raises(general_trestle.InternalInvariantError, match="no square path"):
-        expand((0, 1), [(1, 2), (3, 5)], {1: [], 2: [], 3: [], 5: []}, None)
+        expand((0, 1, 2), pairs + [(5, 6)], {**view, 5: [6], 6: [5]}, 3)
+    # pairs that do not meet leave no orientation within distance 2
+    with pytest.raises(general_trestle.InternalInvariantError, match="not within distance 2"):
+        expand((0, 1), [(1, 2), (3, 5)], {1: [2], 2: [1], 3: [5], 5: [3]}, None)
 
 
 def test_path_branch_edges_are_the_square_cycle_away_from_c_and_the_dummy():

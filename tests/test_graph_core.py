@@ -103,8 +103,22 @@ def test_components_with_removal():
 
 
 def test_graph6_roundtrip():
-    for g in (path_graph(5), cycle_graph(6), spider(4), complete_graph(7)):
+    # from n = 63 on, the size takes the long form: 126, then 18 bits
+    for g in (path_graph(5), cycle_graph(6), spider(4), complete_graph(7), cycle_graph(63), complete_graph(64)):
         assert read_graph6(write_graph6(g)).edges() == g.edges()
+    assert write_graph6(cycle_graph(63))[:4] == b"~??~"
+    assert write_graph6(complete_graph(64))[:4] == b"~?@?"
+    # n = 4097 = 1 << 12 | 1 sets the first and last size bytes; the body
+    # is written by the format's definition (bit v(v-1)/2 + u for u < v,
+    # six bits per byte from the high end), since the writer's pair scan
+    # would take as long as the read
+    n, edges = 4097, ((0, 1), (0, 4096), (62, 63), (4095, 4096))
+    body = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))
+    for u, v in edges:
+        bit = v * (v - 1) // 2 + u
+        body[bit // 6] += 1 << 5 - bit % 6
+    g = read_graph6(b"~@?@" + bytes(body) + b"\n")
+    assert g.n == n and g.edges() == edges
 
 
 def test_graph6_header_and_errors():
