@@ -33,13 +33,19 @@ engagement edges wait in the level until its join; they give the
 branch's entry pair and are removed, and all other edges stay.
 
 Small to large.  The search for branches (below) stops once a single
-component is left unfinished.  When that component holds one gate, it
-is the largest branch and becomes a level without being listed: it
-keeps the level's mark and state (``_Level``), the rest of the level is
-unmarked while it is open, and only that rest is touched.  Every other
-branch is listed, gets a fresh mark and takes over the level's
-neighbour list of every vertex off the dropped edges, since those
-vertices keep all their neighbours.
+component is left unfinished; it counts, per group of searches that
+met, the searches with vertices left, so no round looks at them all.
+When that component holds one gate, it is the largest branch and
+becomes a level without being listed: it keeps the level's mark and
+state (``_Level``), the rest of the level is unmarked while it is open,
+and only that rest is touched.  A level's vertices are the marked ones
+of the ascending list it opened with (each narrowing appends its
+dummy), and the unmarked ones in front are skipped for good; below the
+lowest vertex of a largest branch only c stays, so each unmarked
+vertex is passed a bounded number of times.  Every other branch is
+listed, gets a fresh mark and takes over the level's neighbour list of
+every vertex off the dropped edges, since those vertices keep all their
+neighbours; their lengths give its count of vertices of degree >= 3.
 
 Branches.  With the star at c and the far matching edges forced, a
 spanning tree T of the level minus c has one component per neighbour of
@@ -59,51 +65,56 @@ that uses the dummy has it as a leaf under c and the gate as its centre;
 but c is a cutvertex, so it has a neighbour in a component of the graph
 minus c that misses the branch, and through it the gate has a third arm
 in the level's graph as well.  Conversely, a centre v of the level keeps
-its status in the branch when it is at distance at least 3 from c and
-at distance at least 2 from every endpoint of a dropped edge.  Then
-neither v nor a neighbour of v is adjacent to c or on a dropped edge,
-so every walk of length at most 2 from v stays inside the branch, in
-the level's graph and in the branch's alike.  So v's radius-2 ball, and
-every edge inside it, is the same in both graphs, and an induced spider
-centred at v lies inside that ball.  Inside the branch, c's only
-neighbour is the gate, and a vertex next to another neighbour of c is
-itself on a dropped edge; so only the gate, the branch's ends of
-dropped edges and the neighbours of these are re-tested.
+its status in the branch when it is not the gate and is at distance at
+least 2 from every endpoint of a dropped edge.  Inside the branch c's
+only neighbour is the gate, so v is not adjacent to c, nor within
+distance 2 of the dummy or of c's other neighbours, and neither v nor a
+neighbour of v is on a dropped edge; so every walk of length at most 2
+from v stays inside the branch plus c, in the level's graph and in the
+branch's alike.  So v's radius-2 ball, and every edge inside it, is the
+same in both graphs, and an induced spider centred at v lies inside
+that ball.  So only the gate, the branch's ends of dropped edges and
+their neighbours are re-tested.
 
-Path branches.  A listed branch that no dropped edge meets and whose
-vertices all have degree at most 2 in the level is solved at its cut,
-without a level.  It is a whole component of the level minus c with a
-single gate, so with c and the dummy it is the path dummy, c, gate ..
-far end, and the level's neighbour lists of its vertices are the
-branch's own.  ``close`` walks it from the gate along those lists,
-taking them over as an opened branch would, and writes the Hamilton
-cycle of the square of dummy, c, walk straight from the walk: the
-pairs two apart and the two end edges, the cycle ``_square_cycle``
-gives path levels.  Its edges do not depend on the direction of the
-walk, so they are the ones the branch would get as a level.  No vertex
-of degree at most 2 centres a spider, so the branch has no centre
-(``close`` checks that) and its gate is not engaged; the re-tests and
-matching changes of an opened branch would all be undone when it
-closed.  The cycle's edges away from c and the dummy go to the result.
-The others, dummy-c, dummy-gate and c to the gate's successor, give
-the entry pair (gate, successor) with no entry set to contract: the
-gate is the branch's only vertex in the neighbourhood of c (``_gate``
-checks that), so its successor is not in it.
+Path branches.  A branch that no dropped edge meets and whose vertices
+all have degree at most 2 in the level is solved at its cut, without a
+level: a listed one by its lists, the largest one when the level's
+count of vertices of degree >= 3 is c plus those that would leave.  It
+is a whole component of the level minus c with a single gate, so with
+c and the dummy it is the path dummy, c, gate .. far end, and the
+level's neighbour lists of its vertices are the branch's own.
+``close`` walks it from the gate along those lists (built if the search
+did not reach them) and writes the Hamilton cycle of the square of
+dummy, c, walk straight from the walk: the pairs two apart and the two
+end edges, the cycle ``_square_cycle`` gives path levels.  Its edges do
+not depend on the direction of the walk, so they are the ones the
+branch would get as a level.  No vertex of degree at most 2 centres a
+spider, so the branch has no centre (``close`` checks that) and its
+gate is not engaged; the re-tests and matching changes of an opened
+branch would all be undone when it closed.  The cycle's edges away from
+c and the dummy go to the result.  The others, dummy-c, dummy-gate and
+c to the gate's successor, give the entry pair (gate, successor) with
+no entry set to contract: the gate is the branch's only vertex in the
+neighbourhood of c (``_gate`` checks that of a listed branch), so its
+successor is not in it.
 
-Joins.  A cut reads its level's graph through one ``_View``, built
-with the cut and read only while every branch is back in the level, by
-``enter`` and by the join.  A join spans a linear forest over the
-contracted pair graph: one vertex per branch, two joined when their
-pairs meet in the level.  One map from each pair vertex to its pair's
-index and one pass over those vertices' neighbour lists give its
-edges; the neighbourhood vertices outside the map are the leftover
-gates.  The paper's join lemma bounds that graph's independence number
-by 3 in an S(K_{1,4})-free host, with c matched when it is 3.  The
-construction uses only a consequence: ``linear_forest_for`` gives at
-most independence-number many paths (Gallai-Milgram; ``path_cover``
-checks each cover against an independent transversal), so there are
-at most 3, and when there are 3 one is led by c's partner, which the
-theta graph joins to the other two leads.  The join checks exactly
+Joins.  A cut reads its level's graph through one ``_SetView`` of
+neighbour sets, built with the cut, c's set being the neighbourhood,
+and read only while every branch is back in the level, by ``enter`` and
+by the join: ``_within_two`` meets one vertex's set with the other's
+shared list.  A join spans a linear forest over the contracted pair
+graph: one vertex per branch, two joined when their pairs meet in the
+level.  One map from each pair vertex to its pair's index and one pass
+over those vertices' shared neighbour lists give its edges, as every
+pair vertex is in the level; the neighbourhood vertices outside the
+map are the leftover gates.  The paper's join lemma bounds that
+graph's independence number by 3 in an S(K_{1,4})-free host, with c
+matched when it is 3.  The construction uses only a consequence:
+``linear_forest_for`` gives at most independence-number many paths
+(Gallai-Milgram; ``path_cover`` checks each cover against an
+independent transversal), so there are at most 3, and when there are 3
+one is led by c's partner, which the theta graph joins to the other two
+leads.  The join checks exactly
 that: more than three paths, or three with no anchored lead, is an
 internal fault.  The graph is fixed by the pair count, its edges and
 the anchored pair, and ``linear_forest_for`` reads nothing else, so
@@ -151,8 +162,8 @@ centres, since that theorem needs nothing else; no level is built.
 Otherwise the input, with the cutvertices that the DFS found, is the
 root level, and every inner level has a pendant dummy.
 So every level is connected and has a cutvertex: it is a path exactly
-when no vertex has degree 3 or more, and the ring of ``_Level`` with
-its count of such vertices is all a level needs.  Small levels need no
+when no vertex has degree 3 or more, and ``_Level``'s count of such
+vertices is all a level needs.  Small levels need no
 case of their own.  An inner level has at least 4 vertices (a branch
 of at least 2, c and the dummy), and with exactly 4 it is the path
 dummy-c-gate-w.  A root on at most 4 vertices that is no path is
@@ -163,17 +174,18 @@ search on the complete square returns 0, 1, ..., n-1: the same cycle.
 
 The levels form a tree that is walked in post-order with an explicit
 stack of generators, one per open cut: ``_Levels.split`` either solves
-a level outright or returns a ``_Cut``, whose ``solve`` yields its
-branches as levels one at a time, reads each branch's entry pair off
-the result edges when resumed after it, and finally joins them.  The
-depth of the decomposition is therefore not bounded by Python's
-recursion limit.
+a level outright or returns a ``_Cut``, whose ``solve`` opens its
+branches as levels one at a time and splits each, yields the ``solve``
+of each one that it cuts to run to its end first, reads each branch's
+entry pair off the result edges, and finally joins them.  The depth of
+the decomposition is therefore not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from heapq import heapify, heappop
+from itertools import compress, islice
 
 from .graphs import (
     Disconnected,
@@ -191,10 +203,10 @@ from .patterns import NeighbourSets, centre_witness, centres, has_spider3
 from .verify import TrestleCertificate, verify_trestle
 
 # when set, called as hook(adjacency, vertices, view, centres, cuts) on
-# every branch as it opens (path branches closed at their cut open no
-# level), with the shared adjacency, the branch's
-# graph, its centre set after the re-tests and its inherited cutvertices
-# (None when a DFS will find them); tests compare them with full searches
+# every branch as it opens as a level, with the shared adjacency, the
+# branch's graph, its centre set after the re-tests and its inherited
+# cutvertices (None when a DFS will find them); tests compare them with
+# full searches
 _level_hook = None
 
 
@@ -202,17 +214,29 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _cycle_edges(order) -> set[tuple[int, int]]:
-    return {
-        _norm(order[i], order[(i + 1) % len(order)]) for i in range(len(order))
-    }
+def _cycle_edges(order: list[int]) -> set[tuple[int, int]]:
+    return set(map(_norm, order, order[1:] + order[:1]))
 
 
-def _within_two(adj, u: int, v: int) -> bool:
-    """Whether uv is an edge of the square of the graph whose neighbour
-    lists ``adj`` gives."""
-    nu = adj[u]
-    return u != v and (v in nu or not set(nu).isdisjoint(adj[v]))
+def _within_two(view: _SetView, u: int, v: int) -> bool:
+    """Whether uv, two vertices of the level ``view``, is an edge of the
+    square of its graph: v is in u's neighbour set, or that set meets v's
+    shared neighbour list (the set holds only vertices of the level)."""
+    nu = view[u]
+    return u != v and (v in nu or not nu.isdisjoint(view.shared[v]))
+
+
+def _find(parent, x: int) -> int:
+    """The root of x in the union-find forest ``parent``, halving the
+    path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _wide(lists) -> int:
+    """How many of the neighbour lists ``lists`` hold 3 or more."""
+    return sum(map((3).__le__, map(len, lists)))
 
 
 def path_square_cycle(p: Graph) -> list[tuple[int, int]]:
@@ -241,12 +265,15 @@ def _walk(order: list[int], nbrs) -> list[int]:
     the path's other end.  ``nbrs(v)`` gives v's neighbour list; it is
     called once for order's last vertex and once for each one added."""
     prev = order[-2] if len(order) > 1 else -1
+    v = order[-1]
     while True:
-        nxt = [w for w in nbrs(order[-1]) if w != prev]
-        if not nxt:
+        for w in nbrs(v):
+            if w != prev:
+                break
+        else:
             return order
-        prev = order[-1]
-        order.append(nxt[0])
+        prev, v = v, w
+        order.append(w)
 
 
 def _square_cycle(order: list[int]) -> list[tuple[int, int]]:
@@ -269,10 +296,7 @@ def _path_branch_edges(path: list[int]) -> list[tuple[int, int]]:
 
 
 def _expand_pairs(
-    path: tuple[int, ...],
-    pairs: list[tuple[int, int]],
-    view,
-    a_vertex: int | None,
+    path: tuple[int, ...], pairs: list[tuple[int, int]], view: _SetView, a_vertex: int | None
 ) -> list[int]:
     """Replace each contracted pair (u, w), u the gate, by (u, w) or
     (w, u), so that the result is a path in the square of the graph
@@ -311,12 +335,22 @@ class _View(dict):
     __slots__ = ("shared", "label", "mark")
 
     def __init__(self, shared: list[list[int]], label: list[int], mark: int):
-        super().__init__()
         self.shared, self.label, self.mark = shared, label, mark
 
     def __missing__(self, v: int) -> list[int]:
         label, mark = self.label, self.mark
         nbrs = self[v] = [w for w in self.shared[v] if label[w] == mark]
+        return nbrs
+
+
+class _SetView(_View):
+    """``_View`` with neighbour sets, which ``_within_two`` reads."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: int) -> set[int]:
+        label, mark = self.label, self.mark
+        nbrs = self[v] = {w for w in self.shared[v] if label[w] == mark}
         return nbrs
 
 
@@ -364,19 +398,17 @@ class _Levels:
         # every label is 0, so the root's lists are the host's
         view = _View(self.adj, self.label, 0)
         view.update(enumerate(map(list, self.g.adj)))
-        root = _Level(list(range(self.g.n)), view, cuts)
-        # below the root's one-item iterator, one generator per open cut,
-        # innermost last; each yields its branches as levels and takes a
-        # branch's solution when resumed
-        open_cuts = [iter([(root, 0)])]
+        root = _Level(list(range(self.g.n)), view, _wide(view.values()), cuts)
+        # one generator per open cut, innermost last; each yields the
+        # generator of each branch that it cuts, to run to its end first
+        cut = self.split(root, 0)
+        open_cuts = [] if cut is None else [cut.solve()]
         while open_cuts:
-            branch = next(open_cuts[-1], None)
-            if branch is None:
+            inner = next(open_cuts[-1], None)
+            if inner is None:
                 open_cuts.pop()
-                continue
-            cut = self.split(*branch)
-            if cut is not None:
-                open_cuts.append(cut.solve())
+            else:
+                open_cuts.append(inner)
         return {(u, v) for u, vs in enumerate(self.result) for v in vs if u < v}
 
     def split(self, level: _Level, depth: int) -> _Cut | None:
@@ -397,80 +429,80 @@ class _Levels:
         if c is None:
             raise InternalInvariantError("no cutvertex of degree >= 3 in a non-path host")
         nc = view[c]
+        k = len(nc)
 
         # the components of the level minus c, searched from every gate in
         # rounds, each search expanding up to ``budget`` vertices, which
         # doubles per round, until a single group of searches that met
-        # is left with vertices to expand
-        owner = {c: -1}
-        stacks, parts = [], []
-        for i, gate in enumerate(nc):
-            owner[gate] = i
-            stacks.append([gate])
-            parts.append([gate])
-        group = list(range(len(nc)))
-
-        def root(i: int) -> int:
-            while group[i] != i:
-                group[i] = group[group[i]]
-                i = group[i]
-            return i
-
-        def search(i: int, budget: int) -> None:
-            stack, part = stacks[i], parts[i]
-            while stack and budget:
-                budget -= 1
-                for w in view[stack.pop()]:
-                    o = owner.get(w)
-                    if o is None:
-                        owner[w] = i
-                        part.append(w)
-                        stack.append(w)
-                    elif o != i and o >= 0:
-                        group[root(o)] = root(i)
-
-        live = list(range(len(nc)))
-        budget = 1
-        while len({root(i) for i in live}) > 1:
+        # is left with vertices to expand: a lone search stops there, a
+        # group runs to its end.  ``alive`` counts the unfinished searches
+        # of each group at its root, the running one among them, and
+        # ``groups`` the groups with any
+        owner = {gate: i for i, gate in enumerate(nc)}
+        owner[c] = -1
+        owned = owner.get
+        stacks = [[gate] for gate in nc]
+        parts = [[gate] for gate in nc]
+        group, alive, merged = list(range(k)), [1] * k, set()
+        live, groups, budget, last = list(range(k)), k, 1, -1
+        while live:
+            if groups == 1:
+                if len(live) == 1 and live[0] not in merged:
+                    # the last component holds one gate: it stays unsearched
+                    last = live[0]
+                    break
+                budget = -1
             for i in live:
-                search(i, budget)
+                stack, part, todo = stacks[i], parts[i], budget
+                while stack and todo:
+                    todo -= 1
+                    for w in view[stack.pop()]:
+                        o = owned(w)
+                        if o is None:
+                            owner[w] = i
+                            part.append(w)
+                            stack.append(w)
+                        elif o != i and o >= 0:
+                            ro, ri = _find(group, o), _find(group, i)
+                            if ro != ri:
+                                group[ro] = ri
+                                merged.update((o, i))
+                                if alive[ro]:
+                                    groups -= 1
+                                alive[ri] += alive[ro]
+                if not stack:
+                    ri = _find(group, i)
+                    alive[ri] -= 1
+                    if not alive[ri]:
+                        groups -= 1
             live = [i for i in live if stacks[i]]
             budget *= 2
-        last = -1
-        if len(live) == 1 and sum(1 for i in range(len(nc)) if root(i) == root(live[0])) == 1:
-            # the last component holds one gate: it stays unsearched
-            last = live[0]
-        else:
-            for i in live:
-                search(i, -1)
 
-        members: dict[int, list[int]] = {}
-        for i in range(len(nc)):
-            if i != last:
-                members.setdefault(root(i), []).append(i)
-        nc_set, cuts = set(nc), level.cuts
+        # a search that met no other found a component with one gate;
+        # searches that met are grouped into one component
         branches = []
         parked: list[int] = []
+        members: dict[int, list[int]] = {}
+        for i in range(k):
+            if i in merged:
+                members.setdefault(_find(group, i), []).append(i)
+            elif i != last:
+                part = sorted(parts[i])
+                parked += part
+                if len(part) >= 2:
+                    branches.append((part[0], part, []))
         for searches in members.values():
-            if len(searches) == 1:
-                part = sorted(parts[searches[0]])
-                found = [(part, [])]
-            else:
-                part = sorted(v for i in searches for v in parts[i])
-                found = self._tree_parts(part, view, c, nc_set)
-            parked.extend(part)
-            for comp, ends in found:
-                if len(comp) >= 2:
-                    branches.append(
-                        (comp[0], comp, ends, [] if ends else [v for v in comp if v in cuts])
-                    )
+            part = sorted(v for i in searches for v in parts[i])
+            parked += part
+            found = self._tree_parts(part, view, c, set(nc))
+            branches += [(comp[0], comp, ends) for comp, ends in found if len(comp) >= 2]
         heavy = None
         if last >= 0:
             # the largest branch's lowest vertex: the lowest of the level
             # after c and the other components
             first = next(v for v in level.ascending() if v != c and owner.get(v, last) == last)
-            branches.append((first, None, [], []))
-            heavy = (nc[last], parked, sum(1 for v in parked if len(view[v]) >= 3))
+            branches.append((first, None, []))
+            heavy = (nc[last], parked, _wide(map(view.__getitem__, parked)))
         if not branches:
             # c is adjacent to everything, the square is complete
             self.add(_cycle_edges(level.vertices()))
@@ -495,19 +527,12 @@ class _Levels:
         """
         partner = self.partner
         parent = {v: v for v in part}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         gated = {v for v in part if v in nc}
         for u in part:
             v = partner.get(u)
             if v is None or u > v or (u in nc and (v in nc or v == c)):
                 continue
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv or (ru in gated and rv in gated):
                 raise InternalInvariantError("forced edges contain a cycle")
             parent[ru] = rv
@@ -518,7 +543,7 @@ class _Levels:
             for v in view[u]:
                 if v < u or v == c:
                     continue
-                ru, rv = find(u), find(v)
+                ru, rv = _find(parent, u), _find(parent, v)
                 if ru == rv:
                     continue
                 if ru in gated and rv in gated:
@@ -530,45 +555,40 @@ class _Levels:
                     gated.add(rv)
         comps: dict[int, list[int]] = {}
         for v in part:
-            comps.setdefault(find(v), []).append(v)
+            comps.setdefault(_find(parent, v), []).append(v)
         ends: dict[int, list[int]] = {}
         for v in dropped:
-            ends.setdefault(find(v), []).append(v)
+            ends.setdefault(_find(parent, v), []).append(v)
         return [(comp, ends.get(r, [])) for r, comp in comps.items()]
-
-
-_HEAD = -1
 
 
 class _Level:
     """A level as the split reads it.
 
-    ``view`` is its graph.  ``after`` and ``before`` link its vertices
-    in ascending order into a ring closed by ``_HEAD``, and ``wide``
-    counts its vertices of degree >= 3.  Every level is connected and
-    has a cutvertex, so it is a path exactly when ``wide`` is 0.
-    ``cuts`` holds its cutvertices, None until known, and ``heap`` those
-    of degree >= 3 as (-degree, id), stale entries dropped when met.
-    ``narrow`` turns the level into its largest branch in place, at the
-    cost of the vertices that leave it.
+    ``view`` is its graph, and ``wide`` counts its vertices of degree
+    >= 3.  Every level is connected and has a cutvertex, so it is a
+    path exactly when ``wide`` is 0.  Its vertices are those of ``vs``,
+    ascending, that carry its mark; the vertices before ``start`` have
+    all left.  ``cuts`` holds its cutvertices, None until known, and
+    ``heap`` those of degree >= 3 as (-degree, id), stale entries
+    dropped when met.  ``narrow`` turns the level into its largest
+    branch in place, at the cost of the vertices that leave it.
     """
 
-    def __init__(self, vs: list[int], view: _View, cuts: set[int] | None = None):
+    def __init__(self, vs: list[int], view: _View, wide: int, cuts: set[int] | None = None):
+        self.vs = vs
+        self.start = 0
         self.view = view
         self.mark = view.mark
-        ring = [_HEAD, *vs, _HEAD]
-        self.after = dict(zip(ring, ring[1:]))
-        self.before = dict(zip(ring[1:], ring))
-        self.wide = sum(1 for v in vs if len(view[v]) >= 3)
+        self.wide = wide
         self.cuts = cuts
         self.heap: list[tuple[int, int]] | None = None
 
     def ascending(self):
-        after = self.after
-        v = after[_HEAD]
-        while v != _HEAD:
-            yield v
-            v = after[v]
+        vs, label, mark = self.vs, self.view.label, self.mark
+        while label[vs[self.start]] != mark:
+            self.start += 1
+        return (v for v in islice(vs, self.start, None) if label[v] == mark)
 
     def vertices(self) -> list[int]:
         return list(self.ascending())
@@ -592,26 +612,20 @@ class _Level:
             heappop(heap)
         return None
 
-    def narrow(self, c: int, gate: int, parked: list[int], lost: int, y: int) -> None:
-        """Become the branch at ``gate``: ``parked`` (the rest of the level
-        but c, with ``lost`` vertices of degree >= 3) leaves, and the
-        dummy ``y`` hangs at c, whose degree drops to 2.
+    def narrow(self, c: int, gate: int, lost: int, y: int) -> None:
+        """Become the branch at ``gate``: the rest of the level but c, with
+        ``lost`` vertices of degree >= 3, has left (its mark is off), and
+        the dummy ``y`` hangs at c, whose degree drops to 2.
 
         The branch is a whole component of the level minus c, so every
         other vertex keeps its neighbours, its degree and, as the module
         docstring shows, its cutvertex status; c, a cutvertex of the
         level, stays one through the dummy.
         """
-        after, before, view = self.after, self.before, self.view
-        for v in parked:
-            a, b = after[v], before[v]
-            after[b] = a
-            before[a] = b
-        last = before[_HEAD]
-        after[last], before[y], after[y], before[_HEAD] = y, last, _HEAD, y
+        self.vs.append(y)
         self.wide -= lost + 1
-        view[c] = [gate, y]
-        view[y] = [c]
+        self.view[c] = [gate, y]
+        self.view[y] = [c]
 
 
 class _Cut:
@@ -619,26 +633,16 @@ class _Cut:
 
     ``branches`` holds, for each component with at least two vertices of
     a spanning tree minus ``c``, in order of their lowest vertex: that
-    vertex, the vertex list (ascending), the ends of dropped edges in it
-    and the level's cutvertices in it.  The largest component, when the
-    search left it unsearched, has no list; ``heavy`` then holds its
-    gate, the rest of the level but c, and how many of those have degree
-    at least 3.
+    vertex, the vertex list (ascending) and the ends of dropped edges in
+    it.  The largest component, when the search left it unsearched, has
+    no list; ``heavy`` then holds its gate, the rest of the level but c,
+    and how many of those have degree at least 3.
     ``solve`` opens each branch as a level in turn, reads its solution
     into a contracted pair and closes it, and spans the theta graph once
     every branch is in; a path branch is solved and closed at once.
     """
 
-    def __init__(
-        self,
-        levels: _Levels,
-        level: _Level,
-        depth: int,
-        c: int,
-        nc: list[int],
-        branches: list[tuple[int, list[int] | None, list[int], list[int]]],
-        heavy: tuple[int, list[int], int] | None,
-    ):
+    def __init__(self, levels: _Levels, level: _Level, depth: int, c: int, nc: list[int], branches, heavy):
         self.levels = levels
         # the level's state, which its largest branch takes over; the
         # other branches take their neighbour lists along when opened
@@ -647,36 +651,44 @@ class _Cut:
         self.depth = depth
         self.c = c
         self.nc = set(nc)
-        self.closed = self.nc | {c}
         self.branches = branches
         self.heavy = heavy
         # the level's graph, read only while every branch is back in the
         # level: by ``enter`` and the join
-        self.view = _View(levels.adj, levels.label, self.mark)
+        self.view = _SetView(levels.adj, levels.label, self.mark)
+        self.view[c] = self.nc
         self.pairs: list[tuple[int, int]] = []
         # engagement edges; they join the result with the theta graph
         self.extra_edges: list[tuple[int, int]] = []
 
     def solve(self):
-        """Yield each branch as a level with its depth, in order; take
-        the branch's solution when resumed, and join after the last.  A
-        path branch is closed in place and yields nothing."""
+        """Solve the branches in order and join after the last.  A path
+        branch is closed in place; any other opens as a level that
+        ``_Levels.split`` solves or cuts, yielding the cut's ``solve`` to
+        run first, and is taken back."""
         depth = self.depth + 1
-        view = self.level.view
-        for _, comp, ends, comp_cuts in self.branches:
-            if comp is not None and not ends and all(len(view[v]) <= 2 for v in comp):
+        degree = self.level.view.__getitem__
+        for _, comp, ends in self.branches:
+            if comp is None:
+                # narrowing would leave no vertex of degree >= 3
+                path = self.level.wide == self.heavy[2] + 1
+            else:
+                path = not ends and max(map(len, map(degree, comp))) <= 2
+            if path:
                 self.close(comp)
                 continue
-            level, opened = self.open(comp, ends, comp_cuts, depth)
-            yield level, depth
+            level, opened = self.open(comp, ends, depth)
+            cut = self.levels.split(level, depth)
+            if cut is not None:
+                yield cut.solve()
             self.take(*opened)
         self.join()
 
     def _gate(self, comp: list[int]) -> int:
-        gates = [v for v in comp if v in self.nc]
+        gates = self.nc.intersection(comp)
         if len(gates) != 1:
             raise InternalInvariantError("branch meets the neighbourhood more than once")
-        return gates[0]
+        return gates.pop()
 
     def close(self, comp: list[int]) -> None:
         """Solve a path branch without opening it: the Hamilton cycle of
@@ -684,21 +696,16 @@ class _Cut:
         c and the dummy give the entry pair and whose others go to the
         result.  The branch has no dropped edge, and no vertex of degree
         3 or more, so it has no centre either.  It opens no level, so it
-        takes no dummy."""
-        lv, c = self.levels, self.c
-        u_i = self._gate(comp)
-        centre = lv.centre
-        if any(centre[v] for v in comp):
+        takes no dummy.  ``comp`` is None for the largest branch."""
+        lv = self.levels
+        u_i = self.heavy[0] if comp is None else self._gate(comp)
+        path = _walk([self.c, u_i], self.level.view.__getitem__)[1:]
+        if any(map(lv.centre.__getitem__, path)):
             raise InternalInvariantError("centre on a path branch")
-        # the walk takes over the level's neighbour lists of the branch,
-        # as an opened branch would
-        path = _walk([c, u_i], self.level.view.pop)[1:]
         lv.add(_path_branch_edges(path))
         self.pairs.append((u_i, path[1]))
 
-    def open(
-        self, comp: list[int] | None, ends: list[int], comp_cuts: list[int], depth: int
-    ) -> tuple[_Level, tuple]:
+    def open(self, comp: list[int] | None, ends: list[int], depth: int) -> tuple[_Level, tuple]:
         """Open a branch plus the cutvertex and a pendant dummy as a
         level.  Its centres are the level's, re-tested near c and near
         dropped edges, and its matching is the level's, restricted to
@@ -708,6 +715,8 @@ class _Cut:
         lv, c, nc = self.levels, self.c, self.nc
         y = lv.dummy(depth)
         label = lv.label
+        lv.adj[c].append(y)
+        lv.adj[y] = [c]
         if comp is None:
             # the largest branch keeps the level's mark and state; the
             # rest of the level is unmarked while it is open
@@ -715,47 +724,39 @@ class _Cut:
             for v in parked:
                 label[v] = -1
             label[y] = self.mark
-            lv.adj[c].append(y)
-            lv.adj[y] = [c]
             level = self.level
-            level.narrow(c, u_i, parked, lost, y)
+            level.narrow(c, u_i, lost, y)
             restore = parked
         else:
             u_i = self._gate(comp)
             lv.marks += 1
-            mark = lv.marks
-            view = _View(lv.adj, label, mark)
+            mark = label[c] = label[y] = lv.marks
+            for v in comp:
+                label[v] = mark
             # a vertex off the dropped edges has the same neighbours in the
             # branch as in the level, so its list moves over; the others,
             # c and the dummy are read afresh
-            take_list = self.level.view.pop
-            for v in comp:
-                label[v] = mark
-                view[v] = take_list(v)
+            view = _View(lv.adj, label, mark)
+            view.update(zip(comp, map(self.level.view.pop, comp)))
             for v in ends:
                 view.pop(v, None)
-            label[c] = label[y] = mark
-            lv.adj[c].append(y)
-            lv.adj[y] = [c]
-            vs = comp
-            insort(vs, c)
-            vs.append(y)
+            wide = _wide(map(view.__getitem__, comp))
+            insort(comp, c)
+            comp.append(y)
             # with no dropped edge, comp is a component of the level minus c
-            level = _Level(vs, view, None if ends else set(comp_cuts) | {c})
-            restore = vs
+            level = _Level(comp, view, wide, None if ends else self.level.cuts.intersection(comp))
+            restore = comp
         view, mark = level.view, level.mark
 
         centre, partner = lv.centre, lv.partner
         # (store, key, previous value); None stands for no partner
         undo: list = [(centre, c, centre[c])]
         centre[c] = False
-        seeds = [u_i] + ends
-        near = set(seeds)
-        for a in seeds:
+        near = {u_i, *ends}
+        for a in ends:
             near.update(view[a])
-        sets = NeighbourSets(view)
         for v in near:
-            if centre[v] and not has_spider3(view, v, sets):
+            if centre[v] and not has_spider3(view, v, NeighbourSets(view)):
                 undo.append((centre, v, True))
                 centre[v] = False
                 p = partner.get(v)
@@ -769,7 +770,7 @@ class _Cut:
         if t_i is not None and (label[t_i] != mark or t_i == c):
             undo.append((partner, u_i, t_i))
             if centre[u_i]:
-                if t_i not in self.closed:
+                if t_i != c and t_i not in nc:
                     raise InternalInvariantError("engaged vertex outside the closed neighbourhood")
                 partner[u_i] = c
                 engaged_to = t_i
@@ -782,7 +783,7 @@ class _Cut:
             partner[c] = u_i
         # a vertex's partner leaves the level only at the gate, so in the
         # largest branch the gate and the re-tested vertices are checked
-        for v in near if comp is None else comp:
+        for v in near if comp is None else compress(comp, map(centre.__getitem__, comp)):
             if centre[v]:
                 p = partner.get(v)
                 if p is None or label[p] != mark:
@@ -850,17 +851,20 @@ class _Cut:
         c, nc, pairs = self.c, self.nc, self.pairs
         k = len(pairs)
         # two pairs are joined when they meet in the level: one pass over
-        # the neighbour lists of the pairs' vertices
+        # the shared neighbour lists of the pairs' vertices, which are all
+        # in the level
         at = {v: i for i, pair in enumerate(pairs) for v in pair}
+        adj = lv.adj
         met = set()
         for v, i in at.items():
-            for w in view[v]:
+            for w in adj[v]:
                 j = at.get(w, -1)
                 if j > i:
                     met.add((i, j))
         edges = tuple(sorted(met))
+        # c's partner is a gate, so it leads its pair if it is in one
         a_vertex = lv.partner.get(c)
-        anchor = tuple(i for i, (u, _) in enumerate(pairs) if u == a_vertex)
+        anchor = (at[a_vertex],) if a_vertex in at else ()
         key = (k, edges, anchor)
         paths = lv.joins.get(key)
         if paths is None:
@@ -869,7 +873,7 @@ class _Cut:
             raise InternalInvariantError("linear forest over the pairs has more than three paths")
         expanded = [_expand_pairs(p, pairs, view, a_vertex) for p in paths]
 
-        p_rest = sorted(v for v in nc if v not in at)
+        p_rest = sorted(nc.difference(at))
         if p_rest:
             if a_vertex in p_rest:
                 tail = [a_vertex] + [v for v in p_rest if v != a_vertex]
@@ -897,44 +901,37 @@ class _Cut:
                 raise InternalInvariantError("leftover path cannot attach in the square")
             expanded[host_idx] = comp + tail[::-1]
 
+        # each path is led by its end at c's partner, else by its lowest
+        # end in the neighbourhood (c's partner is in it); c joins the
+        # other ends
         ell: list[int] = []
-        ell_prime: list[int] = []
         theta: set[tuple[int, int]] = set()
         for comp in expanded:
             theta.update(map(_norm, comp, comp[1:]))
-            ends = [comp[0], comp[-1]]
-            if a_vertex in ends:
-                lead = a_vertex
-            else:
-                in_nc = [e for e in ends if e in nc]
-                if not in_nc:
-                    raise InternalInvariantError("path has no end in the neighbourhood")
-                lead = min(in_nc)
-            ends.remove(lead)
+            lead, far = comp[0], comp[-1]
+            if lead != a_vertex and (far == a_vertex or far in nc and (lead not in nc or far < lead)):
+                lead, far = far, lead
+            if lead not in nc:
+                raise InternalInvariantError("path has no end in the neighbourhood")
             ell.append(lead)
-            ell_prime.append(ends[0])
-        for v in ell_prime:
-            theta.add(_norm(c, v))
+            theta.add(_norm(c, far))
         if len(ell) == 1:
             theta.add(_norm(c, ell[0]))
         elif len(ell) == 2:
-            theta.add(_norm(ell[0], ell[1]))
+            theta.add(_norm(*ell))
+        elif a_vertex not in ell:
+            raise InternalInvariantError("three paths but none is anchored")
         else:
-            if a_vertex not in ell:
-                raise InternalInvariantError("three paths but none is anchored")
-            for v in ell:
-                if v != a_vertex:
-                    theta.add(_norm(a_vertex, v))
+            theta.update(_norm(a_vertex, v) for v in ell if v != a_vertex)
 
-        for e in theta:
-            if not _within_two(view, *e):
-                raise InternalInvariantError(f"theta edge {e} is not in the square")
+        for u, v in theta:
+            if not _within_two(view, u, v):
+                raise InternalInvariantError(f"theta edge {(u, v)} is not in the square")
 
-        for u, w in pairs:
-            e = _norm(u, w)
-            if e not in theta:
-                raise InternalInvariantError("pair edge missing from the theta graph")
-            theta.remove(e)
+        pair_edges = set(map(_norm, *zip(*pairs)))
+        if not pair_edges <= theta:
+            raise InternalInvariantError("pair edge missing from the theta graph")
+        theta -= pair_edges
         theta.update(self.extra_edges)
         lv.add(theta)
 

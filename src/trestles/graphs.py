@@ -25,7 +25,9 @@ once.
 from __future__ import annotations
 
 import json
+import re
 from itertools import combinations, islice
+from math import isqrt
 from operator import ge, lt
 from typing import Iterable, Sequence
 
@@ -382,6 +384,8 @@ def _g6_decode_n(data: bytes, at: int) -> tuple[int, int]:
         if n < 0 or n > 62:
             raise FormatError("bad graph6 size byte", at)
         return n, at + 1
+    # three size bytes above MAX_VERTICES start with 126, which marks the
+    # six-byte form: both are refused here
     if len(data) < at + 4 or data[at + 1] == 126:
         raise FormatError("unsupported graph6 long size form", at + 1)
     vals = []
@@ -393,52 +397,59 @@ def _g6_decode_n(data: bytes, at: int) -> tuple[int, int]:
     return (vals[0] << 12) | (vals[1] << 6) | vals[2], at + 4
 
 
+# graph6 body bytes carry 6 bits each, plus 63
+_G6_BAD_BYTE = re.compile(rb"[^?-~]")
+_G6_SET_BYTE = re.compile(rb"[^?]")
+_G6_PLUS_63 = bytes((b + 63) & 255 for b in range(256))
+
+
 def write_graph6(g: Graph) -> bytes:
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        body.append(val + 63)
-    return _g6_encode_n(g.n) + bytes(body)
+    """The graph6 string of ``g``: bit p of the body, most significant
+    first in each byte, is set for the edge uv, u < v, with
+    p = v(v-1)/2 + u."""
+    head = _g6_encode_n(g.n)
+    body = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
+    for u, v in g.edges():
+        p = v * (v - 1) // 2 + u
+        body[p // 6] |= 32 >> p % 6
+    return head + body.translate(_G6_PLUS_63)
 
 
 def read_graph6(data: bytes) -> Graph:
     """One graph in graph6, with optional leading whitespace and
     ``>>graph6<<`` header; only whitespace may follow it.  Error offsets
-    count from the first byte of ``data``."""
+    count from the first byte of ``data``.
+
+    Only the body bytes with a bit set are visited: bit p belongs to
+    the edge uv with v = (1 + isqrt(8p + 1)) // 2 and u = p - v(v-1)/2.
+    """
     start = len(data) - len(data.lstrip())
     if data.startswith(b">>graph6<<", start):
         start += 10
     n, pos = _g6_decode_n(data, start)
-    need = (n * (n - 1) // 2 + 5) // 6
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
     stop = len(data.rstrip())
     if stop - pos < need:
         raise FormatError("graph6 body too short", stop)
-    bits = []
-    for i in range(need):
-        b = data[pos + i] - 63
-        if b < 0 or b > 63:
-            raise FormatError("bad graph6 body byte", pos + i)
-        for shift in range(5, -1, -1):
-            bits.append((b >> shift) & 1)
+    body = data[pos : pos + need]
+    bad = _G6_BAD_BYTE.search(body)
+    if bad:
+        raise FormatError("bad graph6 body byte", pos + bad.start())
     after = data[pos + need : stop]
     if after:
         raise FormatError("bytes after the graph6 body", stop - len(after.lstrip()))
     edges = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
-    return Graph(n, edges)
+    for found in _G6_SET_BYTE.finditer(body):
+        i = found.start()
+        b = body[i] - 63
+        for j in range(6):
+            p = 6 * i + j
+            if b & 32 >> j and p < pairs:
+                v = (1 + isqrt(8 * p + 1)) // 2
+                edges.append((p - v * (v - 1) // 2, v))
+    edges.sort()
+    return Graph._from_sorted(n, tuple(edges))
 
 
 def write_edgelist(g: Graph) -> bytes:

@@ -132,20 +132,22 @@ def check_obstruction(t: Tree) -> ObstructionWitness | None:
     if t.n < 3:
         raise DomainError("trees on fewer than 3 vertices are out of domain")
     profile = tree_profile(t)
-    for v in range(t.n):
-        if profile.n(v) >= 4:
-            emb = centre_witness(t, v, 4)
-            if emb is None:
-                raise InternalInvariantError("4 non-leaf neighbours but no spider embedding")
-            witness = ObstructionWitness(
-                kind="spider",
-                subtree=tuple(sorted(emb.vertices())),
-                special=(v,),
-                black_neighbourhood=(),
-                redness={v: tuple(sorted(emb.mids)[:3])},
-            )
-            witness.check(t)
-            return witness
+    counts = profile.non_leaf_neighbours
+    if max(counts) >= 4:
+        # the first vertex with four non-leaf neighbours
+        v = list(map((4).__le__, counts)).index(True)
+        emb = centre_witness(t, v, 4)
+        if emb is None:
+            raise InternalInvariantError("4 non-leaf neighbours but no spider embedding")
+        witness = ObstructionWitness(
+            kind="spider",
+            subtree=tuple(sorted(emb.vertices())),
+            special=(v,),
+            black_neighbourhood=(),
+            redness={v: tuple(sorted(emb.mids)[:3])},
+        )
+        witness.check(t)
+        return witness
     red = profile.red_set()
     violator = minimal_hall_violator(t, red)
     if violator is None:

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import sys
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -240,6 +241,26 @@ def test_is_path_is_the_degree_scan(monkeypatch):
     assert True in seen and False in seen
 
 
+def test_largest_branch_that_is_a_path_is_closed_at_its_cut(monkeypatch):
+    # at c = 0: the branch 1-2-{3,4} opens as a level (2 has degree 3),
+    # then the path 5-6 and the largest branch, the path 7..27, are both
+    # closed at the cut.  Inside the level, the largest branch at c = 2,
+    # the path 1-0 and its dummy, is closed as well
+    g = Graph(28, [(0, 1), (1, 2), (2, 3), (2, 4), (0, 5), (5, 6), (0, 7)] + [(i, i + 1) for i in range(7, 27)])
+    closed, close = [], general_trestle._Cut.close
+
+    def recording_close(self, comp):
+        closed.append(comp and list(comp))
+        close(self, comp)
+
+    hook = _FullSearch()
+    monkeypatch.setattr(general_trestle._Cut, "close", recording_close)
+    monkeypatch.setattr(general_trestle, "_level_hook", hook)
+    cert = build_general_trestle(g, builder_matching(g).edge_list)
+    assert verify_trestle(cert).passed()
+    assert closed == [None, [5, 6], None] and hook.levels == 1
+
+
 def test_deep_comb_builds_under_a_low_recursion_limit():
     # the path-ordered comb splits off one spine vertex per level, so a
     # recursive builder would nest about 300 levels deep
@@ -265,7 +286,7 @@ def test_path_branches_open_no_level(monkeypatch):
         made.append(self.is_path())
 
     def counting_close(self, comp):
-        closed.append(len(comp))
+        closed.append(comp)
         close(self, comp)
 
     monkeypatch.setattr(general_trestle._Level, "__init__", counting_init)
@@ -494,9 +515,11 @@ def test_centre_across_a_dropped_edge_is_re_tested(monkeypatch):
     build_general_trestle(g, builder_matching(g).edge_list)
     assert hook.levels == 2 and hook.retained == 0
     # matched to 6, vertex 5 makes the tree take 5-6, so 4-6 is dropped
-    # instead and 5 loses the same arm as a neighbour of a dropped edge
+    # instead and 5 loses the same arm as a neighbour of a dropped edge.
+    # Two levels open: the branch of 5 and the one of 2; at the cut 5,
+    # the largest branch 3-1-0 and its dummy is a path, closed there
     build_general_trestle(g, [(0, 9), (5, 6)])
-    assert hook.levels == 5 and hook.retained == 0
+    assert hook.levels == 4 and hook.retained == 0
 
 
 def test_comb_builds_no_graph_per_level(monkeypatch):
@@ -675,10 +698,36 @@ def test_hub_over_three_cliques_joins_three_paths(monkeypatch):
         assert (anchor != ()) == anchored and (1 in rest) == (not anchored)
 
 
+def _cut_view(adj: dict[int, list[int]]):
+    """A cut's view of the graph with neighbour lists ``adj``, every
+    vertex of which is in the level."""
+    return general_trestle._SetView(adj, defaultdict(int), 0)
+
+
+@given(st.data())
+def test_within_two_is_the_distance_two_test(data):
+    # random neighbour lists, a hub adjacent to most vertices, and some
+    # vertices outside the level (another mark), which must not count as
+    # common neighbours
+    n = data.draw(st.integers(1, 30))
+    ids = st.integers(0, n - 1)
+    edges = {(u, v) for u, v in data.draw(st.lists(st.tuples(ids, ids), max_size=3 * n)) if u != v}
+    edges |= {(0, v) for v in data.draw(st.sets(ids, max_size=n)) if v}
+    shared = [sorted({v for e in edges for v in e if u in e} - {u}) for u in range(n)]
+    label = data.draw(st.lists(st.sampled_from([0, 0, 0, 1]), min_size=n, max_size=n))
+    view = general_trestle._SetView(shared, label, 0)
+    level = [v for v in range(n) if label[v] == 0]
+    nbrs = {v: {w for w in shared[v] if label[w] == 0} for v in level}
+    for u in level:
+        for v in level:
+            square_edge = u != v and (v in nbrs[u] or bool(nbrs[u] & nbrs[v]))
+            assert general_trestle._within_two(view, u, v) == square_edge
+
+
 def test_expand_pairs_orients_greedily():
     # pairs (gate, other) 1-2 and 3-4, each an edge, meeting at 1-4: after
     # 2 the gate 3 is not within distance 2, so 3-4 is walked as (4, 3)
-    view = {1: [2, 4], 2: [1], 3: [4], 4: [1, 3]}
+    view = _cut_view({1: [2, 4], 2: [1], 3: [4], 4: [1, 3]})
     pairs = [(1, 2), (3, 4)]
     expand = general_trestle._expand_pairs
     assert expand((0, 1), pairs, view, None) == [1, 2, 4, 3]
@@ -688,10 +737,10 @@ def test_expand_pairs_orients_greedily():
     assert _expand_by_brute_force((0, 1), pairs, view, 3) == ("anchored", [3, 4, 1, 2])
     assert expand((1,), pairs, view, 3) == [3, 4]
     with pytest.raises(general_trestle.InternalInvariantError, match="not at a path end"):
-        expand((0, 1, 2), pairs + [(5, 6)], {**view, 5: [6], 6: [5]}, 3)
+        expand((0, 1, 2), pairs + [(5, 6)], _cut_view({**view.shared, 5: [6], 6: [5]}), 3)
     # pairs that do not meet leave no orientation within distance 2
     with pytest.raises(general_trestle.InternalInvariantError, match="not within distance 2"):
-        expand((0, 1), [(1, 2), (3, 5)], {1: [2], 2: [1], 3: [5], 5: [3]}, None)
+        expand((0, 1), [(1, 2), (3, 5)], _cut_view({1: [2], 2: [1], 3: [5], 5: [3]}), None)
 
 
 def test_path_branch_edges_are_the_square_cycle_away_from_c_and_the_dummy():

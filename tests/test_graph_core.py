@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -121,6 +122,39 @@ def test_graph6_roundtrip():
     assert g.n == n and g.edges() == edges
 
 
+@st.composite
+def _graphs_up_to_200(draw):
+    n = draw(st.integers(0, 200))
+    ids = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=2 * n))
+    return Graph(n, [(u, v) for u, v in pairs if u != v])
+
+
+@settings(max_examples=80)
+@given(_graphs_up_to_200())
+@example(Graph(63, [(0, 62)]))
+@example(Graph(200, [(u, v) for u in range(200) for v in range(u + 1, 200)]))
+def test_graph6_roundtrip_property(g):
+    data = write_graph6(g)
+    # from n = 63 on, the size takes the long form
+    assert (data[:1] == b"~") == (g.n >= 63)
+    assert len(data) == (4 if g.n >= 63 else 1) + (g.n * (g.n - 1) // 2 + 5) // 6
+    assert read_graph6(data) == g
+
+
+def test_graph6_read_memory_is_linear():
+    # the n = 4097 path: 1.4 MB of body, read without a per-bit list
+    data = write_graph6(path_graph(4097))
+    tracemalloc.start()
+    try:
+        g = read_graph6(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == path_graph(4097)
+    assert peak < 10 * 2**20
+
+
 def test_graph6_header_and_errors():
     g = cycle_graph(5)
     assert read_graph6(b">>graph6<<" + write_graph6(g)).edges() == g.edges()
@@ -143,6 +177,13 @@ def test_graph6_header_and_errors():
         (b" ~~", 2, "unsupported graph6 long size form"),
         # a bad body byte comes before the bytes after the body
         (b"D!czzz", 1, "bad graph6 body byte"),
+        # the long form, n = 70: 403 body bytes after the 4 size bytes
+        (b"~?@E" + b"?" * 402 + b" ", 406, "graph6 body too short"),
+        (b"~?@E" + b"?" * 200 + b"\x7f" + b"?" * 202, 204, "bad graph6 body byte"),
+        (b"~?@E" + b"?" * 403 + b"\n?", 408, "bytes after the graph6 body"),
+        # three size bytes above 258047 start with 126, the mark of the
+        # six-byte form, which is refused at that byte
+        (b"~~??" + b"?" * 8, 1, "unsupported graph6 long size form"),
     ],
 )
 def test_graph6_errors_report_the_offending_byte(data, offset, message):
