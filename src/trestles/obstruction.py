@@ -11,12 +11,10 @@ hard-coded but re-derived here by exhaustive enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .graphs import (
     DomainError,
     InternalInvariantError,
-    SearchBudgetExhausted,
     Tree,
     Undetermined,
     components,
@@ -25,9 +23,6 @@ from .graphs import (
 )
 from .matching_flow import feasible_assignment, minimal_hall_violator
 from .patterns import centre_witness, tree_profile
-
-if TYPE_CHECKING:
-    from .oracle import SearchBudget
 
 
 @dataclass(frozen=True)
@@ -233,16 +228,17 @@ def _grow(
 _MAX_ATTACHMENT = 13
 
 
-def derive_base_patterns(max_n: int = 16, confirm_budget: SearchBudget | None = None) -> BasePatterns:
+def derive_base_patterns(max_n: int = 16, confirm_budget: int | None = None) -> BasePatterns:
     """Re-derive the base obstruction tree and the attachment pattern.
 
     T_0 is found by exhaustive enumeration of S(K_{1,4})-free trees in
     increasing order; A is the smallest marked tree whose composition
     with the reduced T_0 yields the expected next obstruction.  With a
-    search budget, the absence of a trestle in square(T_0) is also
-    confirmed by brute force.
+    ``confirm_budget``, the absence of a trestle in square(T_0) is also
+    confirmed by a brute-force search of at most that many nodes, which
+    raises SearchBudgetExhausted if it runs out of them.
     """
-    from .oracle import EXHAUSTED, FOUND, brute_force_trestle, enumerate_trees
+    from .oracle import brute_force_trestle, enumerate_trees
 
     hits: list[Tree] = []
     found_n = None
@@ -272,12 +268,7 @@ def derive_base_patterns(max_n: int = 16, confirm_budget: SearchBudget | None = 
 
     confirmed = False
     if confirm_budget is not None:
-        result = brute_force_trestle(square(t0), 3, confirm_budget)
-        if result.status == EXHAUSTED:
-            raise SearchBudgetExhausted(
-                "undetermined: brute-force confirmation did not finish within budget"
-            )
-        if result.status == FOUND:
+        if brute_force_trestle(square(t0), 3, confirm_budget) is not None:
             raise InternalInvariantError(
                 "oracle found a trestle in the derived minimum obstruction"
             )

@@ -3,8 +3,10 @@
 Everything here answers by exhaustion: k-trestle existence, Hamilton
 cycles in squares (the stand-in for the 2-connected existence theorem),
 maximum independent sets, and one-per-isomorphism-class streams of free
-trees and small 2-connected graphs.  Budgets make exhaustion explicit:
-running out of nodes yields "exhausted", never a silent "none".
+trees and small 2-connected graphs.  Each search returns its answer, or
+None when none exists, and raises SearchBudgetExhausted when it runs
+out of nodes, so a cutoff is never a silent "none".  A search numbers
+its nodes from 1 and stops at the first number above ``node_limit``.
 
 Free trees.  A level sequence lists a rooted tree's depths in preorder;
 the canonical one of a rooted tree is the lexicographically largest
@@ -57,7 +59,6 @@ that coding every rooted sequence gives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .graphs import (
     DomainError,
@@ -71,23 +72,8 @@ from .graphs import (
     square,
 )
 
-FOUND = "found"
-NONE = "none"
-EXHAUSTED = "exhausted"
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """At most ``node_limit`` search nodes: a search numbers its nodes
-    from 1 and stops at the first number above the limit."""
-
-    node_limit: int = 2_000_000
-
-
-@dataclass(frozen=True)
-class TrestleSearchResult:
-    status: str
-    edges: tuple[tuple[int, int], ...] | None = None
+# the default node limit of every search below
+_NODE_LIMIT = 2_000_000
 
 
 def _two_connected(n: int, edges) -> bool:
@@ -104,8 +90,11 @@ def _two_connected(n: int, edges) -> bool:
     return not articulation_points([0], adj, disc, [0] * n) and -1 not in disc
 
 
-def brute_force_trestle(g: Graph, k: int, budget: SearchBudget | None = None) -> TrestleSearchResult:
-    """Exhaustive search for a 2-connected spanning subgraph, max degree <= k.
+def brute_force_trestle(
+    g: Graph, k: int, node_limit: int = _NODE_LIMIT
+) -> tuple[tuple[int, int], ...] | None:
+    """Exhaustive search for a 2-connected spanning subgraph, max degree
+    <= k: its sorted edges, or None if there is none.
 
     Branches vertex by vertex: when vertex v is processed, all edges to
     higher-id neighbours are decided at once, so v's final degree is
@@ -115,7 +104,6 @@ def brute_force_trestle(g: Graph, k: int, budget: SearchBudget | None = None) ->
     """
     if g.n < 3:
         raise DomainError("trestles need n >= 3")
-    limit = (budget or SearchBudget()).node_limit
     nodes = itertools.count(1)
     n = g.n
     higher = [tuple(w for w in g.adj[v] if w > v) for v in range(n)]
@@ -134,7 +122,7 @@ def brute_force_trestle(g: Graph, k: int, budget: SearchBudget | None = None) ->
         return _two_connected(n, edges)
 
     def rec(v: int) -> tuple[tuple[int, int], ...] | None:
-        if next(nodes) > limit:
+        if next(nodes) > node_limit:
             raise SearchBudgetExhausted("trestle search budget exhausted")
         if v == n:
             if _two_connected(n, chosen):
@@ -161,25 +149,20 @@ def brute_force_trestle(g: Graph, k: int, budget: SearchBudget | None = None) ->
                     degree[w] -= 1
         return None
 
-    try:
-        found = rec(0)
-    except SearchBudgetExhausted:
-        return TrestleSearchResult(EXHAUSTED)
-    if found is None:
-        return TrestleSearchResult(NONE)
-    return TrestleSearchResult(FOUND, found)
+    return rec(0)
 
 
-def brute_force_trestle_by_degrees(g: Graph, k: int, budget: SearchBudget | None = None) -> TrestleSearchResult:
+def brute_force_trestle_by_degrees(
+    g: Graph, k: int, node_limit: int = _NODE_LIMIT
+) -> tuple[tuple[int, int], ...] | None:
     """Independent second strategy: fix a degree sequence, then realize it.
 
     Enumerates target degrees in [2, k] per vertex (bounded by the host
     degree) and searches for an exact-degree spanning subgraph that is
-    2-connected.  Meant for cross-checking "none" verdicts at small n.
+    2-connected.  Meant for cross-checking None verdicts at small n.
     """
     if g.n < 3:
         raise DomainError("trestles need n >= 3")
-    limit = (budget or SearchBudget()).node_limit
     nodes = itertools.count(1)
     n = g.n
     higher = [tuple(w for w in g.adj[v] if w > v) for v in range(n)]
@@ -189,7 +172,7 @@ def brute_force_trestle_by_degrees(g: Graph, k: int, budget: SearchBudget | None
         remaining = list(targets)
 
         def rec(v: int) -> tuple[tuple[int, int], ...] | None:
-            if next(nodes) > limit:
+            if next(nodes) > node_limit:
                 raise SearchBudgetExhausted("trestle search budget exhausted")
             if v == n:
                 if all(r == 0 for r in remaining) and _two_connected(n, chosen):
@@ -216,18 +199,12 @@ def brute_force_trestle_by_degrees(g: Graph, k: int, budget: SearchBudget | None
         return rec(0)
 
     ranges = [range(2, min(k, g.degree(v)) + 1) for v in range(n)]
-    if any(len(r) == 0 for r in ranges):
-        return TrestleSearchResult(NONE)
-    try:
-        for targets in itertools.product(*ranges):
-            if sum(targets) % 2:
-                continue
+    for targets in itertools.product(*ranges):
+        if sum(targets) % 2 == 0:
             found = realize(targets)
             if found is not None:
-                return TrestleSearchResult(FOUND, found)
-    except SearchBudgetExhausted:
-        return TrestleSearchResult(EXHAUSTED)
-    return TrestleSearchResult(NONE)
+                return found
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +212,7 @@ def brute_force_trestle_by_degrees(g: Graph, k: int, budget: SearchBudget | None
 # ---------------------------------------------------------------------------
 
 
-def hamilton_cycle(g: Graph, budget: SearchBudget | None = None) -> list[int] | None:
+def hamilton_cycle(g: Graph, node_limit: int = _NODE_LIMIT) -> list[int] | None:
     """Backtracking Hamilton cycle search; None means none exists.
 
     Extends a path from vertex 0 by the tip's unvisited neighbours in
@@ -249,7 +226,6 @@ def hamilton_cycle(g: Graph, budget: SearchBudget | None = None) -> list[int] | 
     n = g.n
     if n < 3:
         return None
-    limit = (budget or SearchBudget()).node_limit
     nodes = itertools.count(1)
     masks = g.adjacency_masks()
     all_mask = (1 << n) - 1
@@ -280,7 +256,7 @@ def hamilton_cycle(g: Graph, budget: SearchBudget | None = None) -> list[int] | 
     used = 1
     untried: list[int] = []  # per path vertex, the extensions not yet tried
     while True:
-        if next(nodes) > limit:
+        if next(nodes) > node_limit:
             raise SearchBudgetExhausted("Hamilton search budget exhausted")
         tip = path[-1]
         if len(path) == n:
@@ -301,7 +277,7 @@ def hamilton_cycle(g: Graph, budget: SearchBudget | None = None) -> list[int] | 
         used |= 1 << v
 
 
-def fleischner_hamilton(g: Graph, budget: SearchBudget | None = None) -> list[int]:
+def fleischner_hamilton(g: Graph, node_limit: int = _NODE_LIMIT) -> list[int]:
     """Hamilton cycle of the square of a 2-connected graph.
 
     Existence is guaranteed for 2-connected inputs, so a fruitless
@@ -310,7 +286,7 @@ def fleischner_hamilton(g: Graph, budget: SearchBudget | None = None) -> list[in
     """
     if not is_two_connected(g):
         raise DomainError("input graph is not 2-connected")
-    cycle = hamilton_cycle(square(g), budget)
+    cycle = hamilton_cycle(square(g), node_limit)
     if cycle is None:
         raise InternalInvariantError(
             f"square of a 2-connected graph searched Hamilton-free: {g!r}"

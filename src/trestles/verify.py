@@ -5,9 +5,9 @@ adjacency, spanning, biconnectivity, degree caps, and the optional
 matching / exact-degree side conditions.  None of the builder modules'
 bookkeeping is reused, so a verifier pass is evidence, not an echo.
 
-Each certificate edge is tested against the host's neighbour sets, and
-the certificate's neighbour lists, built once, give the degrees and
-feed the lowpoint DFS.  The DFS keeps (vertex, parent, neighbour
+Each certificate edge, and each pair of a claimed matching, is tested
+against the host's neighbour sets, and the certificate's neighbour
+lists, built once, give the degrees and feed the lowpoint DFS.  The DFS keeps (vertex, parent, neighbour
 iterator) frames on an explicit stack; a frame resumes its iterator
 where it stopped, so vertices are met in the order of the recursive
 search and the first cutvertex reported is the one an index-based or
@@ -16,6 +16,7 @@ recursive search would report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -100,7 +101,8 @@ def _adjacency(n: int, edges) -> list[list[int]]:
 def _biconnected(n: int, adj: list[list[int]]) -> tuple[bool, str]:
     """Whether the graph with neighbour lists ``adj`` is 2-connected, and
     if not, why: fewer than 3 vertices, not connected, or the first
-    cutvertex the DFS meets."""
+    cutvertex the DFS meets.  The DFS runs to the end before it names a
+    cutvertex, so a graph that is not connected is reported as such."""
     if n < 3:
         return False, "fewer than 3 vertices"
     # lowpoint DFS from vertex 0 on (vertex, parent, iterator) frames
@@ -109,6 +111,7 @@ def _biconnected(n: int, adj: list[list[int]]) -> tuple[bool, str]:
     disc[0] = 0
     timer = 1
     root_children = 0
+    cut = None
     stack = [(0, -1, iter(adj[0]))]
     while stack:
         v, parent, nbrs = stack[-1]
@@ -127,10 +130,12 @@ def _biconnected(n: int, adj: list[list[int]]) -> tuple[bool, str]:
             if parent > 0:
                 if low[v] < low[parent]:
                     low[parent] = low[v]
-                if low[v] >= disc[parent]:
-                    return False, f"cutvertex {parent}"
+                if low[v] >= disc[parent] and cut is None:
+                    cut = parent
     if timer != n:
         return False, "not connected"
+    if cut is not None:
+        return False, f"cutvertex {cut}"
     if root_children >= 2:
         return False, "cutvertex 0"
     return True, ""
@@ -179,15 +184,20 @@ def verify_trestle(cert: TrestleCertificate) -> VerificationReport:
         CheckResult("max_degree", not over, f"degree > k at: {over[:5]}" if over else "")
     )
     if cert.matching_edges is not None:
-        covered = {v for e in cert.matching_edges for v in e}
-        unmatched3 = [v for v in range(n) if degs[v] == 3 and v not in covered]
-        checks.append(
-            CheckResult(
-                "degree3_matched",
-                not unmatched3,
-                f"unmatched degree-3 vertices: {unmatched3[:5]}" if unmatched3 else "",
-            )
-        )
+        # each pair must be a host edge that shares no vertex with another
+        uses = Counter(v for e in cert.matching_edges for v in e)
+        stray = [
+            (u, v)
+            for u, v in cert.matching_edges
+            if not (0 <= u < v < n and v in near[u]) or uses[u] > 1 or uses[v] > 1
+        ]
+        unmatched3 = [v for v in range(n) if degs[v] == 3 and v not in uses]
+        why = []
+        if stray:
+            why.append(f"pairs that are not a matching of the host: {stray[:5]}")
+        if unmatched3:
+            why.append(f"unmatched degree-3 vertices: {unmatched3[:5]}")
+        checks.append(CheckResult("degree3_matched", not why, "; ".join(why)))
     if cert.expected_degrees is not None:
         expected = cert.expected_degrees
         wrong = []

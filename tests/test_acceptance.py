@@ -23,9 +23,6 @@ from trestles.general_trestle import build_general_trestle
 from trestles.graphs import Graph, spider, square
 from trestles.obstruction import check_obstruction, f_family
 from trestles.oracle import (
-    FOUND,
-    NONE,
-    SearchBudget,
     brute_force_trestle,
     enumerate_trees,
     fleischner_hamilton,
@@ -63,7 +60,7 @@ def exhaustive_sweep():
                 oracle = brute_force_trestle(square(t), k)
                 feasible = assignment is not None
                 verdicts[k] = feasible
-                if feasible != (oracle.status == FOUND):
+                if feasible != (oracle is not None):
                     disagreements.append((n, k, t.edges()))
                     continue
                 if assignment is not None:
@@ -138,12 +135,12 @@ def test_criterion_4_impossibility_anchors(capsys):
     t0 = time.time()
     r2 = brute_force_trestle(square(spider(3)), 2)
     t2 = time.time() - t0
-    ok = r1.status == NONE and t1 <= 10 and r2.status == NONE and t2 <= 10
+    ok = r1 is None and t1 <= 10 and r2 is None and t2 <= 10
     report(
         capsys,
         "criterion 4 (spider squares have no trestle)",
         ok,
-        f"S(K_1,4)@k=3: {r1.status} in {t1:.2f}s; S(K_1,3)@k=2: {r2.status} in {t2:.2f}s",
+        f"S(K_1,4)@k=3: {r1} in {t1:.2f}s; S(K_1,3)@k=2: {r2} in {t2:.2f}s",
     )
 
 
@@ -201,11 +198,9 @@ def test_criterion_7_base_patterns(capsys):
     if len(t0.special) != 1:
         problems.append("special set of the base is not a single vertex")
     # oracle confirmation that the derived base really has no 3-trestle
-    confirm = brute_force_trestle(
-        square(t0.tree), 3, SearchBudget(node_limit=50_000_000)
-    )
-    if confirm.status != NONE:
-        problems.append(f"brute force on square(T_0): {confirm.status}")
+    confirm = brute_force_trestle(square(t0.tree), 3, node_limit=50_000_000)
+    if confirm is not None:
+        problems.append(f"brute force on square(T_0) found a trestle: {confirm}")
     # composition rule: members grow by |A| - 6 and stay obstructions
     members = f_family(40, base)
     sizes = sorted({m.tree.n for m in members})

@@ -426,9 +426,17 @@ def test_budget_exhaustion_has_its_own_exit_code(capsys, monkeypatch, tmp_path):
     path.write_bytes(write_edgelist(cycle_graph(6)))
     search = oracle.fleischner_hamilton
     monkeypatch.setattr(
-        oracle, "fleischner_hamilton", lambda g: search(g, oracle.SearchBudget(node_limit=3))
+        oracle, "fleischner_hamilton", lambda g: search(g, node_limit=3)
     )
     code = main(["build", str(path), "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: search budget exhausted\n"
+
+
+def test_derivation_confirmation_out_of_budget_is_no_verdict(capsys):
+    code = main(["derive-patterns", "--budget-nodes", "3"])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""

@@ -7,9 +7,9 @@ import pytest
 from helpers import base_patterns, f_family_chain, random_bounded_tree
 
 from trestles import obstruction
-from trestles.graphs import DomainError, Tree, path_graph, spider, square
+from trestles.graphs import DomainError, SearchBudgetExhausted, Tree, path_graph, spider, square
 from trestles.obstruction import check_obstruction, compose, f_family
-from trestles.oracle import SearchBudget, brute_force_trestle, enumerate_trees, NONE
+from trestles.oracle import brute_force_trestle, enumerate_trees
 from trestles.patterns import is_caterpillar
 from trestles.tree_trestle import decide_tree_trestle
 
@@ -96,10 +96,14 @@ def test_family_dedup():
     assert len(keys) == len(set(keys))
 
 
+def test_t0_confirmation_out_of_budget_raises():
+    with pytest.raises(SearchBudgetExhausted):
+        obstruction.derive_base_patterns(confirm_budget=3)
+
+
 def test_t0_confirmed_by_brute_force():
     base = base_patterns()
-    r = brute_force_trestle(square(base.t0.tree), 3, SearchBudget(node_limit=50_000_000))
-    assert r.status == NONE
+    assert brute_force_trestle(square(base.t0.tree), 3, node_limit=50_000_000) is None
 
 
 def test_rescue_clause():

@@ -67,6 +67,31 @@ def test_matching_condition_checked():
     assert "degree3_matched" in bad.failed_checks()
 
 
+def _chorded_spider():
+    """The spider S(K_{1,3}) with the legs 4 and 5 joined through 7, and
+    a 3-trestle of its square with degree-3 vertices 0 and 1."""
+    g = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 7)])
+    edges = [(0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 7), (2, 5), (3, 6), (4, 7)]
+    return g, edges
+
+
+def test_matching_must_be_a_matching_of_the_host():
+    g, edges = _chorded_spider()
+    assert verify_trestle(TrestleCertificate.of(g, edges, 3, matching_edges=[(0, 1)])).passed()
+    # two non-edges that share vertex 6, and two host edges that share 1
+    for matching in ([(0, 6), (1, 6)], [(0, 1), (1, 4)]):
+        report = verify_trestle(TrestleCertificate.of(g, edges, 3, matching_edges=matching))
+        assert report.failed_checks() == ["degree3_matched"]
+        detail = [c for c in report.checks if c.check == "degree3_matched"][0].detail
+        assert detail == f"pairs that are not a matching of the host: {matching}"
+    # a non-edge alone fails too, and an unmatched vertex is named as well
+    report = verify_trestle(TrestleCertificate.of(g, edges, 3, matching_edges=[(0, 7)]))
+    detail = [c for c in report.checks if c.check == "degree3_matched"][0].detail
+    assert detail == (
+        "pairs that are not a matching of the host: [(0, 7)]; unmatched degree-3 vertices: [1]"
+    )
+
+
 def test_exact_degrees():
     p = path_graph(5)
     cert = TrestleCertificate.of(
@@ -163,9 +188,10 @@ def _broken_certificates():
     return [TrestleCertificate.of(complete_graph(n), edges, 3) for n, edges in shapes]
 
 
-# SHA-256 of the reports below, taken before the lowpoint DFS in the
-# verifier lost its min() calls
-BROKEN_REPORTS_DIGEST = "f1e21e6f694eebd1c7133e931280e2f24c46243bbf455bb9ac2e062481eba59a"
+# SHA-256 of the reports below, taken once the lowpoint DFS reported a
+# graph that is not connected as such, never by a cutvertex of vertex
+# 0's component
+BROKEN_REPORTS_DIGEST = "f343811f2ab67a3ab07c1dea0fe7589f62dec4dcbc831b5cf626e3bedd132d28"
 
 
 def test_broken_certificate_reports_are_pinned():
@@ -208,6 +234,13 @@ def _reach(n, edges, start, gone=-1):
     return seen
 
 
+def test_disconnected_certificate_is_not_connected():
+    # vertex 3 is unreached, and 1 would be a cutvertex of 0's component
+    report = verify_trestle(TrestleCertificate.of(complete_graph(4), [(0, 1), (1, 2)], 3))
+    detail = [c for c in report.checks if c.check == "two_connected"][0].detail
+    assert detail == "not connected"
+
+
 @given(edge_sets())
 def test_biconnected_matches_vertex_deletion(graph):
     n, edges = graph
@@ -218,12 +251,8 @@ def test_biconnected_matches_vertex_deletion(graph):
     if why == "not connected":
         assert not connected
     elif not ok:
-        # the search can meet a cutvertex of 0's component before it
-        # finds that the graph is not connected; deleting it splits
-        # that component either way
+        # a cutvertex is named only in a connected graph, and deleting
+        # it splits that graph
         word, p = why.split()
-        p = int(p)
-        component = _reach(n, edges, 0)
-        rest = component - {p}
-        assert word == "cutvertex" and p in component
-        assert len(_reach(n, edges, min(rest), p)) < len(rest)
+        assert word == "cutvertex" and connected
+        assert not survives[int(p)]
