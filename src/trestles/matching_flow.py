@@ -4,10 +4,10 @@ Three decision engines live here:
 
 * the one-end-in-X matching used by the general 3-trestle condition,
 * inclusion-minimal Hall violators in the red-black bipartite subgraph,
-  read off one maximum matching of it: the red vertices that
-  alternating paths reach from an unmatched one; every deficient
-  subset of them holds that vertex and is closed under taking mates,
-  so it is the whole set,
+  read off Kuhn's matching of it, which stops at the first red whose
+  search fails: the red vertices that alternating paths reach from
+  that red; every deficient subset of them holds that vertex and is
+  closed under taking mates, so it is the whole set,
 * the leaf-to-root feasibility pass for arc assignments on trees (the
   i(v)/o(v) demand system), over the BFS that the tree keeps from its
   check, together with assignment extraction from a known trestle.
@@ -15,6 +15,7 @@ Three decision engines live here:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .graphs import DomainError, Graph, InternalInvariantError, Tree, tree_bfs
@@ -128,7 +129,7 @@ def _augment(adjacency: dict[int, list[int]], free: int, match_of: dict[int, int
     """
     visited: set[int] = set()
     lefts = [free]
-    scans = [iter(adjacency.get(free, ()))]
+    scans = [iter(adjacency[free])]
     via: list[int] = [-1]
     while scans:
         for y in scans[-1]:
@@ -144,7 +145,7 @@ def _augment(adjacency: dict[int, list[int]], free: int, match_of: dict[int, int
                 return True
             x = match_of[y]
             lefts.append(x)
-            scans.append(iter(adjacency.get(x, ())))
+            scans.append(iter(adjacency[x]))
             via.append(y)
             break
         else:
@@ -154,35 +155,55 @@ def _augment(adjacency: dict[int, list[int]], free: int, match_of: dict[int, int
     return False
 
 
+def _kuhn(
+    rows: Iterable[tuple[int, list[int]]],
+    adjacency: dict[int, list[int]],
+    match_of: dict[int, int],
+) -> Iterator[int]:
+    """Kuhn's algorithm over ``rows``; yields each left vertex whose
+    search fails, when it fails.
+
+    ``rows`` gives each left vertex with its right neighbours, in the
+    order they are processed; a row is read only when its vertex is,
+    and stored in ``adjacency``.  A search descends only into the mate
+    of a matched right vertex, a left vertex processed earlier, so
+    every list it reads is stored.  ``match_of`` maps right to left.
+    When a vertex's first neighbour is free it is matched directly: that
+    is the search's first step, without its stack and visited set.
+    """
+    for x, nbrs in rows:
+        adjacency[x] = nbrs
+        if nbrs and nbrs[0] not in match_of:
+            match_of[nbrs[0]] = x
+        elif not _augment(adjacency, x, match_of):
+            yield x
+
+
 def max_bipartite_matching(left: list[int], adjacency: dict[int, list[int]]) -> dict[int, int]:
     """Maximum matching; returns left -> right assignment.
 
     ``adjacency`` maps each left vertex to its (sorted) right
     neighbours.  Deterministic: left vertices are processed in the given
-    order and neighbours in list order.
+    order and neighbours in list order.  A left vertex whose first
+    neighbour is free takes it without a search, as the search would.
     """
     match_of: dict[int, int] = {}
-    for x in left:
-        _augment(adjacency, x, match_of)
+    for _ in _kuhn(((x, adjacency.get(x, ())) for x in left), {}, match_of):
+        pass
     return {x: y for y, x in match_of.items()}
 
 
-def _one_end_matching(
-    g: Graph, side: set[int], what: str
-) -> tuple[list[int], dict[int, list[int]], dict[int, int]]:
-    """The host edges with exactly one end in ``side`` and one maximum
-    matching of them.
-
-    Returns the side in id order, the adjacency from each side vertex to
-    its (sorted) neighbours off the side, and the matching as a
-    side -> off-side assignment.
-    """
+def _one_end_rows(
+    g: Graph, side: set[int] | frozenset[int], what: str
+) -> Iterator[tuple[int, list[int]]]:
+    """The rows of the bipartite graph of host edges with exactly one
+    end in ``side``: each side vertex in id order with its (sorted)
+    neighbours off the side, each list built when its row is read."""
     for v in side:
         if not 0 <= v < g.n:
             raise DomainError(f"{what} {v} out of range")
-    left = sorted(side)
-    adjacency = {x: [y for y in g.adj[x] if y not in side] for x in left}
-    return left, adjacency, max_bipartite_matching(left, adjacency)
+    adj = g.adj
+    return ((x, [y for y in adj[x] if y not in side]) for x in sorted(side))
 
 
 def theorem1_matching(g: Graph, centre_set: set[int]) -> Matching | None:
@@ -190,16 +211,16 @@ def theorem1_matching(g: Graph, centre_set: set[int]) -> Matching | None:
 
     X is the given centre set; pairs are drawn from the host edges with
     exactly one end in X.  Returns None iff no saturating matching
-    exists.
+    exists, as soon as one centre's search fails.
     """
-    left, _, assignment = _one_end_matching(g, centre_set, "centre")
-    if len(assignment) < len(left):
+    match_of: dict[int, int] = {}
+    if next(_kuhn(_one_end_rows(g, centre_set, "centre"), {}, match_of), None) is not None:
         return None
-    edges = tuple(sorted((min(x, y), max(x, y)) for x, y in assignment.items()))
+    edges = tuple(sorted((x, y) if x < y else (y, x) for y, x in match_of.items()))
     return Matching(g, edges)
 
 
-def minimal_hall_violator(g: Graph, red: set[int]) -> HallViolator | None:
+def minimal_hall_violator(g: Graph, red: set[int] | frozenset[int]) -> HallViolator | None:
     """Inclusion-minimal Hall violator of the red side, or None.
 
     The bipartite graph consists of the host edges with exactly one red
@@ -214,12 +235,25 @@ def minimal_hall_violator(g: Graph, red: set[int]) -> HallViolator | None:
     otherwise the mates of S - {x} plus y already give |N(S)| >= |S|.
     A set that contains x and is closed under y -> mate(y) contains
     everything alternating paths reach from x, so S = R.
+
+    Kuhn's search runs over the reds in id order and stops at the first
+    red x whose search fails.  That x is the lowest unmatched red of the
+    full run: Kuhn never unmatches a matched left vertex and never
+    retries a failed one.  The rest of the run would not change x's
+    alternating tree T either.  Every black of T is matched inside T,
+    since x's search failed, and every neighbour of a red of T is a
+    black of T.  An augmenting path that enters T at a black therefore
+    goes on to that black's mate in T and never leaves T, so it never
+    reaches a free black: no later augmentation touches T, and R and
+    N(R) are those of the full run.  A red's black list is built only
+    when the red is processed; every red a search reaches is matched,
+    so it was processed earlier.
     """
-    left, adjacency, assignment = _one_end_matching(g, red, "red vertex")
-    root = next((x for x in left if x not in assignment), None)
+    adjacency: dict[int, list[int]] = {}
+    partner: dict[int, int] = {}
+    root = next(_kuhn(_one_end_rows(g, red, "red vertex"), adjacency, partner), None)
     if root is None:
         return None
-    partner = {y: x for x, y in assignment.items()}
     violator = {root}
     neighbourhood: set[int] = set()
     frontier = [root]

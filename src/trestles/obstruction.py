@@ -40,16 +40,19 @@ class ObstructionWitness:
     redness: dict[int, tuple[int, ...]]
 
     def check(self, t: Tree) -> None:
+        """Raise InternalInvariantError unless the witness holds in ``t``.
+
+        The subtree's edges are read from its own vertices' neighbour
+        lists, so the check costs about the witness's size, not the
+        tree's.
+        """
         s = set(self.subtree)
-        inner = [
-            (u, v) for u, v in t.edges() if u in s and v in s
-        ]
-        if len(inner) != len(s) - 1:
+        n, adj = t.n, t.adj
+        adj_in_s = {v: [u for u in adj[v] if u in s] for v in s if 0 <= v < n}
+        # each edge inside s is seen from both ends; a vertex out of range
+        # has no edges, so the count falls short
+        if sum(map(len, adj_in_s.values())) != 2 * (len(s) - 1):
             raise InternalInvariantError("witness vertex set does not induce a subtree")
-        adj_in_s = {v: [] for v in s}
-        for u, v in inner:
-            adj_in_s[u].append(v)
-            adj_in_s[v].append(u)
 
         def non_leaf_within(v: int) -> int:
             return sum(1 for u in adj_in_s[v] if len(adj_in_s[u]) >= 2)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import DomainError, Graph, Tree
 
@@ -85,8 +86,14 @@ class TreeProfile:
     def n(self, v: int) -> int:
         return self.non_leaf_neighbours[v]
 
-    def red_set(self) -> set[int]:
-        return {v for v, c in enumerate(self.non_leaf_neighbours) if c >= 3}
+    def red_set(self) -> frozenset[int]:
+        """The vertices with n(v) >= 3, as a frozenset built on the
+        first call and kept, so every caller on one profile shares it."""
+        return self._red
+
+    @cached_property
+    def _red(self) -> frozenset[int]:
+        return frozenset([v for v, c in enumerate(self.non_leaf_neighbours) if c >= 3])
 
 
 def _spider_at(adj, centre: int, k: int, sets) -> SpiderEmbedding | None:

@@ -43,11 +43,12 @@ class TrestleCertificate:
 
     @staticmethod
     def of(host, edges, k, matching_edges=None, expected_degrees=None):
-        # repeats are kept: ``verify_trestle`` fails an edge listed twice
+        # repeats are kept: ``verify_trestle`` fails an edge listed twice,
+        # and a matching pair listed twice, which reuses both its vertices
         norm = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
         m = None
         if matching_edges is not None:
-            m = tuple(sorted({(u, v) if u < v else (v, u) for u, v in matching_edges}))
+            m = tuple(sorted((u, v) if u < v else (v, u) for u, v in matching_edges))
         e = tuple(expected_degrees) if expected_degrees is not None else None
         return TrestleCertificate(host, norm, k, m, e)
 

@@ -7,7 +7,7 @@ import random
 import sys
 
 from trestles.graphs import Graph, Tree, is_two_connected
-from trestles.matching_flow import theorem1_matching
+from trestles.matching_flow import max_bipartite_matching, theorem1_matching
 from trestles.patterns import centres, is_spider_free
 
 
@@ -283,6 +283,34 @@ def random_red_graphs(seed: int, count: int, max_n: int = 10):
         p = rng.random()
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         yield Graph(n, edges), {v for v in range(n) if rng.random() < 0.5}
+
+
+def reference_hall_violator(g: Graph, red) -> tuple[frozenset, frozenset] | None:
+    """The minimal Hall violator read off a full maximum matching, or None.
+
+    The bipartite graph holds the host edges with exactly one red end.
+    All reds are matched in id order, then the reds that alternating
+    paths reach from the lowest unmatched red give the red set, and
+    their black neighbours the neighbourhood.
+    """
+    left = sorted(red)
+    adjacency = {x: [y for y in g.adj[x] if y not in red] for x in left}
+    assignment = max_bipartite_matching(left, adjacency)
+    root = next((x for x in left if x not in assignment), None)
+    if root is None:
+        return None
+    partner = {y: x for x, y in assignment.items()}
+    reds, blacks = {root}, set()
+    frontier = [root]
+    for x in frontier:
+        for y in adjacency[x]:
+            if y not in blacks:
+                blacks.add(y)
+                # a free y here would make the matching augmentable
+                if partner[y] not in reds:
+                    reds.add(partner[y])
+                    frontier.append(partner[y])
+    return frozenset(reds), frozenset(blacks)
 
 
 def f_family_chain(base, attachments: int):

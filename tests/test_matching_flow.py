@@ -3,10 +3,17 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from helpers import base_patterns, chorded_host_corpus, prufer_trees, random_red_graphs
+from helpers import (
+    base_patterns,
+    chorded_host_corpus,
+    prufer_trees,
+    random_red_graphs,
+    reference_hall_violator,
+)
 
+from trestles import matching_flow
 from trestles.graphs import DomainError, Graph, Tree, path_graph, spider
 from trestles.matching_flow import (
     ArcAssignment,
@@ -138,6 +145,80 @@ def _matching_lines():
 def test_violators_and_matchings_match_golden_digest():
     assert _digest(_violator_lines()) == VIOLATOR_DIGEST
     assert _digest(_matching_lines()) == MATCHING_DIGEST
+
+
+@st.composite
+def red_graphs(draw):
+    """A graph on 1..14 vertices with any edge set and any red set."""
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges), draw(st.sets(st.integers(0, n - 1)))
+
+
+@st.composite
+def red_trees(draw):
+    """A labelled tree with its own red set (n(v) >= 3) or any red set."""
+    t = draw(prufer_trees())
+    red = draw(st.one_of(st.just(tree_profile(t).red_set()), st.sets(st.integers(0, t.n - 1))))
+    return t, red
+
+
+@given(st.one_of(red_graphs(), red_trees()))
+def test_violator_equals_the_full_matching_reference(case):
+    g, red = case
+    v = minimal_hall_violator(g, red)
+    assert (None if v is None else (v.red_set, v.neighbourhood)) == reference_hall_violator(g, red)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Left vertices in any order, each with a sorted list of right ones."""
+    left = draw(st.lists(st.integers(0, 11), unique=True, max_size=12))
+    right = range(100, 100 + draw(st.integers(1, 12)))
+    return left, {x: sorted(draw(st.sets(st.sampled_from(right)))) for x in left}
+
+
+@given(bipartite_graphs())
+def test_first_step_shortcut_gives_the_plain_search_assignment(case):
+    left, adjacency = case
+    # Kuhn's algorithm with every left vertex searched in full
+    match_of: dict[int, int] = {}
+    for x in left:
+        matching_flow._augment(adjacency, x, match_of)
+    want = {x: y for y, x in match_of.items()}
+    got = max_bipartite_matching(left, adjacency)
+    assert list(got.items()) == list(want.items())
+
+
+# the base obstruction T_0's shape: red 0 has only the red neighbours
+# 1, 2 and 3, so its search fails before any other red is read
+T16 = Tree(16, [
+    (0, 1), (0, 2), (0, 3), (1, 4), (4, 5), (1, 6), (6, 7), (2, 8), (8, 9), (2, 10), (10, 11),
+    (3, 12), (12, 13), (3, 14), (14, 15),
+])
+
+
+def test_violator_search_stops_at_the_first_failed_red(monkeypatch):
+    searched, read = [], []
+    augment, one_end_rows = matching_flow._augment, matching_flow._one_end_rows
+
+    def counting_augment(adjacency, free, match_of):
+        searched.append(free)
+        return augment(adjacency, free, match_of)
+
+    def counting_rows(g, side, what):
+        for x, blacks in one_end_rows(g, side, what):
+            read.append(x)
+            yield x, blacks
+
+    monkeypatch.setattr(matching_flow, "_augment", counting_augment)
+    monkeypatch.setattr(matching_flow, "_one_end_rows", counting_rows)
+    red = tree_profile(T16).red_set()
+    assert red == {0, 1, 2, 3}
+    v = minimal_hall_violator(T16, red)
+    assert (v.red_set, v.neighbourhood) == ({0}, set())
+    assert searched == [0] and read == [0]
 
 
 def test_assignment_demand_system():

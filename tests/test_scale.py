@@ -1,9 +1,9 @@
-"""Deep inputs: the tree decision, both builders, the Hamilton search
-and Kuhn's search must not recurse.
+"""Deep inputs: the tree decision, both builders, the Hamilton search,
+Kuhn's search and the obstruction witness must not recurse.
 
-The decisions and builds below run on trees with up to 10^5 vertices
-and on a 3000-vertex cycle; the matching instance needs an augmenting
-path longer than the interpreter's recursion limit.
+The decisions, builds and witnesses below run on trees with up to 10^5
+vertices and on a 3000-vertex cycle; the matching instance needs an
+augmenting path longer than the interpreter's recursion limit.
 """
 
 import random
@@ -17,10 +17,12 @@ from helpers import (
     path_ordered_comb,
     random_bounded_tree,
     random_caterpillar,
+    reference_hall_violator,
 )
 from trestles.general_trestle import build_general_trestle
 from trestles.graphs import Tree, cycle_graph
 from trestles.matching_flow import max_bipartite_matching
+from trestles.obstruction import check_obstruction
 from trestles.patterns import tree_profile
 from trestles.tree_trestle import build_tree_trestle, decide_tree_trestle
 from trestles.verify import TrestleCertificate, verify_trestle
@@ -47,6 +49,18 @@ def test_random_bounded_tree_decisions():
     assert _starved_vertex(t, 3) is not None
     a = decide_tree_trestle(t, 4)
     assert a is not None and a.satisfies_demands(4)
+
+
+@pytest.mark.slow
+def test_hall_witness_of_a_random_bounded_tree():
+    # maximum degree 3 leaves no vertex four non-leaf neighbours, so the
+    # witness is a Hall violator
+    t = random_bounded_tree(random.Random(1), N, maxdeg=3)
+    w = check_obstruction(t)
+    assert w is not None and w.kind == "hall"
+    w.check(t)
+    red = tree_profile(t).red_set()
+    assert (set(w.special), set(w.black_neighbourhood)) == reference_hall_violator(t, red)
 
 
 @pytest.mark.slow

@@ -78,8 +78,9 @@ def _chorded_spider():
 def test_matching_must_be_a_matching_of_the_host():
     g, edges = _chorded_spider()
     assert verify_trestle(TrestleCertificate.of(g, edges, 3, matching_edges=[(0, 1)])).passed()
-    # two non-edges that share vertex 6, and two host edges that share 1
-    for matching in ([(0, 6), (1, 6)], [(0, 1), (1, 4)]):
+    # two non-edges that share vertex 6, two host edges that share 1, and
+    # one host edge listed twice
+    for matching in ([(0, 6), (1, 6)], [(0, 1), (1, 4)], [(0, 1), (0, 1)]):
         report = verify_trestle(TrestleCertificate.of(g, edges, 3, matching_edges=matching))
         assert report.failed_checks() == ["degree3_matched"]
         detail = [c for c in report.checks if c.check == "degree3_matched"][0].detail
