@@ -33,9 +33,7 @@ engagement edges wait in the level until its join; they give the
 branch's entry pair and are removed, and all other edges stay.
 
 Small to large.  The search for branches (below) stops once a single
-component is left unfinished; it counts, per group of searches that
-met, the searches with vertices left, so no round looks at them all.
-When that component holds one gate, it is the largest branch and
+search is left unfinished.  Its component is the largest branch and
 becomes a level without being listed: it keeps the level's mark and
 state (``_Level``), the rest of the level is unmarked while it is open,
 and only that rest is touched.  A level's vertices are the marked ones
@@ -44,20 +42,64 @@ dummy), and the unmarked ones in front are skipped for good; below the
 lowest vertex of a largest branch only c stays, so each unmarked
 vertex is passed a bounded number of times.  Every other branch is
 listed, gets a fresh mark and takes over the level's neighbour list of
-every vertex off the dropped edges, since those vertices keep all their
-neighbours; their lengths give its count of vertices of degree >= 3.
+each of its vertices, from which the split has taken the dropped edges
+out; their lengths give its count of vertices of degree >= 3.
 
 Branches.  With the star at c and the far matching edges forced, a
-spanning tree T of the level minus c has one component per neighbour of
-c (its gate).  Searches from all gates find the components of the
-level minus c, taking turns with budgets that double every round and
-merging where they meet.  A component that holds a single gate is a
-component of T minus c as it stands.  Inside one that holds several, a
-union-find builds T's components: every gate starts as a marked root,
-the forced edges and then the edges in sorted order merge roots, and
-two marked roots never merge, since in T that edge would close a cycle
-through c.  The edges refused that way are the dropped edges, between
-two branches or a branch and a lone gate.
+spanning tree T of the level has one component of T minus c per
+neighbour of c (its gate).  The edges of the level minus c that join
+two of them are the dropped edges, between two branches or a branch
+and a lone gate.  They all lie in c's blocks of three or more vertices
+(below), so ``_cut_blocks`` finds them there with a union-find per
+block: every gate of the block starts as a gated root, the forced edges
+inside the block and then its edges in sorted order merge roots, and
+two gated roots never merge, since in T that edge would close a cycle
+through c.  The edges refused that way are the dropped edges.  The
+components of the level minus c minus the dropped edges are then T's
+components minus c, one per gate: T's edges keep each one connected,
+and only c and the dropped edges joined two.  Searches from all gates
+find them, taking turns with budgets that double every round; no two
+searches meet.
+
+Blocks.  Let K be a component of the level minus c.  K is connected, so
+c is no cutvertex of K plus c and lies in exactly one block B of it,
+which holds every gate in K: the bridge from c to the gate when K has
+one, three or more vertices when it has two or more.  The level's
+blocks are those of its components plus c, so B is one of them.  Any
+spanning tree takes a spanning tree of each block, since a path between
+two vertices of a block that left it would leave and re-enter through
+one cutvertex; for the same reason an edge of B closes a cycle with
+earlier edges only through a path inside B.  So T's edges inside B are
+the ones that T's rule takes from B's own edges, in the same order, the
+forced ones inside B first, which is what the union-find does.  Every
+vertex of K outside B hangs from one vertex of B other than c, through
+blocks that T spans, and is in that vertex's component of T minus c;
+so no edge outside B joins two components, and every dropped edge lies
+in a B with two or more gates.  The branch of a gate u is its component
+X of T minus c, and its level is X, c and the dummy.  Its blocks are
+the level's blocks inside X, which hang from B or lie in a component
+with one gate; the blocks inside X of B minus c minus the dropped edges;
+and the bridges from c to u and to the dummy.  So a cut changes blocks
+only in B: ``_cut_blocks`` runs one lowpoint DFS over B minus c minus
+the dropped edges, and the blocks of three or more vertices that it
+finds replace B.  c is in no such block of any branch.  The root's
+blocks come from the DFS that settles the input, and a bridge is never
+stored, so a tree's levels hold none.
+
+Cost.  A cut costs the vertices its search reaches, which is small to
+large as on a tree, plus the sum of the degrees of the vertices of c's
+blocks of three or more vertices.  So the block work is linear in the
+host's size when every block is cut a bounded number of times: a cycle
+through c leaves paths, and a clique through c drops every edge between
+its gates, so chorded trees (whose blocks are short cycles and their
+unions) and ``three_clique_hub`` hosts leave no block behind.  It is
+not linear in general.  On the ladder with rungs a_i b_i, a_i numbered
+0..m-1 along one side and b_i numbered downwards from 2m - 1 on the
+other, with a leaf at a_0, the cut at a_i drops only the edge b_i
+b_{i+1}, which comes last in sorted order.  b_i is left a branch of its
+own, a_{i+1}'s branch keeps the ladder on the rungs after i as its one
+block, and a_{i+1} is the next cut; so the m cuts scan about m^2
+vertices (``tests/helpers.backward_ladder``).
 
 Centres.  A branch's centres are among the level's centres inside it.
 A spider that avoids the dummy leaf is induced in the level's graph.  One
@@ -143,24 +185,34 @@ neighbourhood (``path[1]`` is not in it either), so an anchored pair
 is led by its gate: the path is read from the anchored end, and every
 path starts with its first pair as (u, w).
 
-Cutvertices.  A branch that no dropped edge meets is a whole component
-of the level minus c.  The rest of the level meets it only at c and
-stays connected to c when a vertex v of the branch is removed, so v
-separates the level exactly when it separates the branch plus c.  The
-dummy, hanging at c, changes nothing for v and makes c a cutvertex: the
-branch's cutvertices are the level's inside it, plus c.  Only the other
-branches run a lowpoint DFS.  A level picks its cutvertex from a heap
-ordered by degree, then id, dropping entries of vertices that left or
-changed degree as they surface.  Square adjacency is a distance-2 test
-on the level's graph; no square is built.
+Cutvertices.  A vertex separates a graph exactly when it lies in two of
+its blocks, bridges counted.  By the above, a vertex v of a branch
+outside B keeps all its blocks.  One in B, other than c, keeps its
+blocks that hang from B, and loses B for its blocks in B minus c minus
+the dropped edges, plus the bridge to c when it is the gate.  A vertex
+of B that is not a gate has a T edge to the rest of its branch inside
+B, so it is in one of those blocks at least.  So v separates the
+branch's level exactly when it separates the level, or separates its
+component of B minus c minus the dropped edges, or is the gate of a
+branch of two or more vertices; and the dummy makes c a cutvertex.  So
+every branch inherits the level's cutvertices inside it, plus c, the
+gates of c's blocks (a gate that is none is a branch of one vertex,
+which opens no level) and the cutvertices that ``_cut_blocks`` finds,
+and no level searches for its own.  A level picks its cutvertex from a
+heap ordered by degree, then id, dropping entries of vertices that left
+or changed degree as they surface; the largest branch pushes entries
+for its new cutvertices and for the ends of its dropped edges.  Square
+adjacency is a distance-2 test on the level's graph; no square is
+built.
 
 The input is settled first, by one DFS, before any hypothesis is
 tested.  Connected with at least 3 vertices and no cutvertex, it is
 2-connected, and its square's Hamilton cycle is the answer
 (Fleischner's theorem; ``oracle.fleischner_hamilton``) whatever its
 centres, since that theorem needs nothing else; no level is built.
-Otherwise the input, with the cutvertices that the DFS found, is the
-root level, and every inner level has a pendant dummy.
+Otherwise the input, with the cutvertices and the blocks of three or
+more vertices that the DFS found, is the root level, and every inner
+level has a pendant dummy.
 So every level is connected and has a cutvertex: it is a path exactly
 when no vertex has degree 3 or more, and ``_Level``'s count of such
 vertices is all a level needs.  Small levels need no
@@ -184,7 +236,7 @@ the decomposition is therefore not bounded by Python's recursion limit.
 from __future__ import annotations
 
 from bisect import insort
-from heapq import heapify, heappop
+from heapq import heapify, heappop, heappush
 from itertools import compress, islice
 
 from .graphs import (
@@ -205,9 +257,13 @@ from .verify import TrestleCertificate, verify_trestle
 # when set, called as hook(adjacency, vertices, view, centres, cuts) on
 # every branch as it opens as a level, with the shared adjacency, the
 # branch's graph, its centre set after the re-tests and its inherited
-# cutvertices (None when a DFS will find them); tests compare them with
-# full searches
+# cutvertices; tests compare them with full searches
 _level_hook = None
+
+# when set, called as hook(searched, blocked) at every cut, with the
+# number of vertices its search reached and the number in c's blocks of
+# three or more vertices; tests bound their sums
+_cut_hook = None
 
 
 def _norm(u: int, v: int) -> tuple[int, int]:
@@ -364,7 +420,7 @@ class _Levels:
     ``result`` the adjacency of the result edges gathered so far.
     """
 
-    def __init__(self, g: Graph, partner: dict[int, int], x: set[int]):
+    def __init__(self, g: Graph, partner: dict[int, int], x: set[int], blocks: list[list[int]]):
         self.g = g
         self.adj = [list(a) for a in g.adj]
         self.label = [0] * g.n
@@ -375,6 +431,13 @@ class _Levels:
         # (pair count, contracted edges, anchor) -> linear forest paths
         # of each contracted pair graph met
         self.joins: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+        # the blocks of three or more vertices of the open levels, by
+        # index (None once cut), and the indices of each vertex's
+        self.blocks: list[list[int] | None] = blocks
+        self.block_of: dict[int, set[int]] = {}
+        for i, block in enumerate(blocks):
+            for v in block:
+                self.block_of.setdefault(v, set()).add(i)
 
     def dummy(self, depth: int) -> int:
         """The id of the dummy of a branch at ``depth``, with its slots."""
@@ -394,7 +457,8 @@ class _Levels:
 
     def build(self, cuts: set[int]) -> set[tuple[int, int]]:
         """The result edges: the level tree, rooted at the host with its
-        cutvertices ``cuts`` (not empty), solved in post-order."""
+        cutvertices ``cuts`` (not empty) and the blocks given at
+        construction, solved in post-order."""
         # every label is 0, so the root's lists are the host's
         view = _View(self.adj, self.label, 0)
         view.update(enumerate(map(list, self.g.adj)))
@@ -420,89 +484,79 @@ class _Levels:
         if level.is_path():
             self.add(_path_square_cycle(level.vertices(), view))
             return None
-        if level.cuts is None:
-            vs = level.vertices()
-            level.cuts = articulation_points(vs, view, dict.fromkeys(vs, -1), dict.fromkeys(vs, 0))
-            if not level.cuts:
-                raise InternalInvariantError("a level with a dummy leaf has no cutvertex")
+        if not level.cuts:
+            raise InternalInvariantError("a level with a dummy leaf has no cutvertex")
         c = level.top_cut(self.label)
         if c is None:
             raise InternalInvariantError("no cutvertex of degree >= 3 in a non-path host")
         nc = view[c]
         k = len(nc)
 
-        # the components of the level minus c, searched from every gate in
-        # rounds, each search expanding up to ``budget`` vertices, which
-        # doubles per round, until a single group of searches that met
-        # is left with vertices to expand: a lone search stops there, a
-        # group runs to its end.  ``alive`` counts the unfinished searches
-        # of each group at its root, the running one among them, and
-        # ``groups`` the groups with any
+        # T's dropped edges lie in c's blocks of three or more vertices;
+        # their ends take their lists in the level minus c minus those
+        # edges, and the blocks' new cutvertices join the level's
+        drops: dict[int, set[int]] = {}
+        fresh: set[int] = set()
+        blocked = 0
+        ids = self.block_of.pop(c, None)
+        if ids:
+            blocked = sum(len(self.blocks[b]) for b in ids)
+            fresh = self._cut_blocks(ids, c, set(nc), view, drops)
+            for u, gone in drops.items():
+                old = view[u]
+                new = view[u] = [w for w in old if w not in gone]
+                if len(new) < 3 <= len(old):
+                    level.wide -= 1
+            level.cuts |= fresh
+
+        # the components of the level minus c minus the dropped edges, one
+        # per gate, searched from every gate in rounds, each search
+        # expanding up to ``budget`` vertices, which doubles per round,
+        # until a single search is left with vertices to expand: its
+        # component stays unsearched
         owner = {gate: i for i, gate in enumerate(nc)}
         owner[c] = -1
-        owned = owner.get
         stacks = [[gate] for gate in nc]
         parts = [[gate] for gate in nc]
-        group, alive, merged = list(range(k)), [1] * k, set()
-        live, groups, budget, last = list(range(k)), k, 1, -1
-        while live:
-            if groups == 1:
-                if len(live) == 1 and live[0] not in merged:
-                    # the last component holds one gate: it stays unsearched
-                    last = live[0]
-                    break
-                budget = -1
+        live, budget, last = list(range(k)), 1, -1
+        while len(live) > 1:
             for i in live:
                 stack, part, todo = stacks[i], parts[i], budget
                 while stack and todo:
                     todo -= 1
                     for w in view[stack.pop()]:
-                        o = owned(w)
-                        if o is None:
+                        if w not in owner:
                             owner[w] = i
                             part.append(w)
                             stack.append(w)
-                        elif o != i and o >= 0:
-                            ro, ri = _find(group, o), _find(group, i)
-                            if ro != ri:
-                                group[ro] = ri
-                                merged.update((o, i))
-                                if alive[ro]:
-                                    groups -= 1
-                                alive[ri] += alive[ro]
-                if not stack:
-                    ri = _find(group, i)
-                    alive[ri] -= 1
-                    if not alive[ri]:
-                        groups -= 1
             live = [i for i in live if stacks[i]]
             budget *= 2
+        if live:
+            last = live[0]
+        if _cut_hook is not None:
+            _cut_hook(len(owner) - 1, blocked)
+        owned = owner.get
+        ends: list[list[int]] = [[] for _ in range(k)]
+        for v in drops:
+            ends[owned(v, last)].append(v)
 
-        # a search that met no other found a component with one gate;
-        # searches that met are grouped into one component
         branches = []
         parked: list[int] = []
-        members: dict[int, list[int]] = {}
         for i in range(k):
-            if i in merged:
-                members.setdefault(_find(group, i), []).append(i)
-            elif i != last:
+            if i != last:
                 part = sorted(parts[i])
                 parked += part
                 if len(part) >= 2:
-                    branches.append((part[0], part, []))
-        for searches in members.values():
-            part = sorted(v for i in searches for v in parts[i])
-            parked += part
-            found = self._tree_parts(part, view, c, set(nc))
-            branches += [(comp[0], comp, ends) for comp, ends in found if len(comp) >= 2]
+                    branches.append((part[0], part, ends[i]))
         heavy = None
         if last >= 0:
             # the largest branch's lowest vertex: the lowest of the level
             # after c and the other components
-            first = next(v for v in level.ascending() if v != c and owner.get(v, last) == last)
-            branches.append((first, None, []))
-            heavy = (nc[last], parked, _wide(map(view.__getitem__, parked)))
+            first = next(v for v in level.ascending() if v != c and owned(v, last) == last)
+            branches.append((first, None, ends[last]))
+            # its vertices whose heap entries are new or stale
+            renew = [v for v in fresh if owned(v, last) == last] + ends[last]
+            heavy = (nc[last], parked, _wide(map(view.__getitem__, parked)), renew)
         if not branches:
             # c is adjacent to everything, the square is complete
             self.add(_cycle_edges(level.vertices()))
@@ -510,56 +564,68 @@ class _Levels:
         branches.sort()
         return _Cut(self, level, depth, c, nc, branches, heavy)
 
-    def _tree_parts(
-        self, part: list[int], view: _View, c: int, nc: set[int]
-    ) -> list[tuple[list[int], list[int]]]:
-        """The components of T minus c inside ``part``, a component of the
-        level minus c that holds several gates, each with its ends of
-        dropped edges.
+    def _cut_blocks(self, ids, c: int, nc: set[int], view: _View, drops: dict[int, set[int]]) -> set[int]:
+        """Find T's dropped edges in c's blocks ``ids`` of three or more
+        vertices, record both directions of each in ``drops``, and replace
+        each block by the blocks of three or more vertices of what is
+        left of it without c and those edges.  Returns the new
+        cutvertices: the blocks' gates and the cutvertices of what is
+        left.
 
         T is the spanning tree of the level that takes the star at c,
         then the matching edges not inside c's closed neighbourhood,
-        then every edge in sorted order that closes no cycle.  A
-        matching edge lies in one part, and union-find steps in
-        different parts do not interact, so ``part`` is done alone:
+        then every edge in sorted order that closes no cycle.  Inside a
+        block, as the module docstring shows, it takes the same edges
+        when built from the block's own, so each block is done alone:
         every gate starts as a gated root, and two gated roots never
         merge, since in T their edge would close a cycle through c.
         """
-        partner = self.partner
-        parent = {v: v for v in part}
-        gated = {v for v in part if v in nc}
-        for u in part:
-            v = partner.get(u)
-            if v is None or u > v or (u in nc and (v in nc or v == c)):
-                continue
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru == rv or (ru in gated and rv in gated):
-                raise InternalInvariantError("forced edges contain a cycle")
-            parent[ru] = rv
-            if ru in gated:
-                gated.add(rv)
-        dropped: list[int] = []
-        for u in part:
-            for v in view[u]:
-                if v < u or v == c:
+        partner, blocks, block_of = self.partner, self.blocks, self.block_of
+        fresh: set[int] = set()
+        for b in ids:
+            vs = sorted(blocks[b])
+            blocks[b] = None
+            vs.remove(c)
+            inside = set(vs)
+            parent = {v: v for v in vs}
+            gated = inside & nc
+            fresh |= gated
+            for u in vs:
+                v = partner.get(u)
+                if v is None or u > v or v not in inside or (u in nc and v in nc):
                     continue
                 ru, rv = _find(parent, u), _find(parent, v)
-                if ru == rv:
-                    continue
-                if ru in gated and rv in gated:
-                    dropped.append(u)
-                    dropped.append(v)
-                    continue
+                if ru == rv or (ru in gated and rv in gated):
+                    raise InternalInvariantError("forced edges contain a cycle")
                 parent[ru] = rv
                 if ru in gated:
                     gated.add(rv)
-        comps: dict[int, list[int]] = {}
-        for v in part:
-            comps.setdefault(_find(parent, v), []).append(v)
-        ends: dict[int, list[int]] = {}
-        for v in dropped:
-            ends.setdefault(_find(parent, v), []).append(v)
-        return [(comp, ends.get(r, [])) for r, comp in comps.items()]
+            # the block minus c minus its dropped edges
+            left: dict[int, list[int]] = {v: [] for v in vs}
+            for u in vs:
+                for v in view[u]:
+                    if v < u or v not in inside:
+                        continue
+                    ru, rv = _find(parent, u), _find(parent, v)
+                    if ru != rv:
+                        if ru in gated and rv in gated:
+                            drops.setdefault(u, set()).add(v)
+                            drops.setdefault(v, set()).add(u)
+                            continue
+                        parent[ru] = rv
+                        if ru in gated:
+                            gated.add(rv)
+                    left[u].append(v)
+                    left[v].append(u)
+            found: list[list[int]] = []
+            fresh |= articulation_points(vs, left, dict.fromkeys(vs, -1), dict.fromkeys(vs, 0), found)
+            for v in vs:
+                block_of[v].discard(b)
+            for block in found:
+                for v in block:
+                    block_of[v].add(len(blocks))
+                blocks.append(block)
+        return fresh
 
 
 class _Level:
@@ -569,13 +635,13 @@ class _Level:
     >= 3.  Every level is connected and has a cutvertex, so it is a
     path exactly when ``wide`` is 0.  Its vertices are those of ``vs``,
     ascending, that carry its mark; the vertices before ``start`` have
-    all left.  ``cuts`` holds its cutvertices, None until known, and
-    ``heap`` those of degree >= 3 as (-degree, id), stale entries
-    dropped when met.  ``narrow`` turns the level into its largest
+    all left.  ``cuts`` holds its cutvertices, and vertices that have
+    left, and ``heap`` those of degree >= 3 as (-degree, id), stale
+    entries dropped when met.  ``narrow`` turns the level into its largest
     branch in place, at the cost of the vertices that leave it.
     """
 
-    def __init__(self, vs: list[int], view: _View, wide: int, cuts: set[int] | None = None):
+    def __init__(self, vs: list[int], view: _View, wide: int, cuts: set[int]):
         self.vs = vs
         self.start = 0
         self.view = view
@@ -612,20 +678,27 @@ class _Level:
             heappop(heap)
         return None
 
-    def narrow(self, c: int, gate: int, lost: int, y: int) -> None:
+    def narrow(self, c: int, gate: int, lost: int, y: int, renew: list[int]) -> None:
         """Become the branch at ``gate``: the rest of the level but c, with
         ``lost`` vertices of degree >= 3, has left (its mark is off), and
         the dummy ``y`` hangs at c, whose degree drops to 2.
 
-        The branch is a whole component of the level minus c, so every
-        other vertex keeps its neighbours, its degree and, as the module
-        docstring shows, its cutvertex status; c, a cutvertex of the
-        level, stays one through the dummy.
+        The branch is a component of the level minus c minus the
+        dropped edges, which the split has taken out of the lists (and
+        out of ``wide``), so every other vertex keeps its list and its
+        degree.  As the module docstring shows, the level's cutvertices
+        in the branch stay cutvertices, and c stays one through the
+        dummy.  ``renew`` holds the branch's new cutvertices and the
+        ends of its dropped edges, whose heap entries are new or stale.
         """
         self.vs.append(y)
         self.wide -= lost + 1
-        self.view[c] = [gate, y]
-        self.view[y] = [c]
+        view, cuts, heap = self.view, self.cuts, self.heap
+        view[c] = [gate, y]
+        view[y] = [c]
+        for v in renew:
+            if v in cuts and len(view[v]) >= 3:
+                heappush(heap, (-len(view[v]), v))
 
 
 class _Cut:
@@ -636,7 +709,8 @@ class _Cut:
     vertex, the vertex list (ascending) and the ends of dropped edges in
     it.  The largest component, when the search left it unsearched, has
     no list; ``heavy`` then holds its gate, the rest of the level but c,
-    and how many of those have degree at least 3.
+    how many of those have degree at least 3, and the component's
+    vertices whose heap entries are new or stale.
     ``solve`` opens each branch as a level in turn, reads its solution
     into a contracted pair and closes it, and spans the theta graph once
     every branch is in; a path branch is solved and closed at once.
@@ -671,7 +745,7 @@ class _Cut:
         for _, comp, ends in self.branches:
             if comp is None:
                 # narrowing would leave no vertex of degree >= 3
-                path = self.level.wide == self.heavy[2] + 1
+                path = not ends and self.level.wide == self.heavy[2] + 1
             else:
                 path = not ends and max(map(len, map(degree, comp))) <= 2
             if path:
@@ -720,12 +794,12 @@ class _Cut:
         if comp is None:
             # the largest branch keeps the level's mark and state; the
             # rest of the level is unmarked while it is open
-            u_i, parked, lost = self.heavy
+            u_i, parked, lost, renew = self.heavy
             for v in parked:
                 label[v] = -1
             label[y] = self.mark
             level = self.level
-            level.narrow(c, u_i, lost, y)
+            level.narrow(c, u_i, lost, y, renew)
             restore = parked
         else:
             u_i = self._gate(comp)
@@ -733,18 +807,15 @@ class _Cut:
             mark = label[c] = label[y] = lv.marks
             for v in comp:
                 label[v] = mark
-            # a vertex off the dropped edges has the same neighbours in the
-            # branch as in the level, so its list moves over; the others,
-            # c and the dummy are read afresh
+            # the level's lists, the dropped edges taken out at the split,
+            # are the branch's and move over; c and the dummy are read
+            # afresh
             view = _View(lv.adj, label, mark)
             view.update(zip(comp, map(self.level.view.pop, comp)))
-            for v in ends:
-                view.pop(v, None)
             wide = _wide(map(view.__getitem__, comp))
             insort(comp, c)
             comp.append(y)
-            # with no dropped edge, comp is a component of the level minus c
-            level = _Level(comp, view, wide, None if ends else self.level.cuts.intersection(comp))
+            level = _Level(comp, view, wide, self.level.cuts.intersection(comp))
             restore = comp
         view, mark = level.view, level.mark
 
@@ -791,8 +862,8 @@ class _Cut:
 
         if _level_hook is not None:
             vs = level.vertices()
-            cuts = None if level.cuts is None else {v for v in vs if v in level.cuts}
-            _level_hook(lv.adj, vs, view, {v for v in vs if centre[v]}, cuts)
+            cuts = level.cuts
+            _level_hook(lv.adj, vs, view, {v for v in vs if centre[v]}, {v for v in vs if v in cuts})
         return level, (restore, u_i, engaged_to, y, undo)
 
     def take(self, restore: list[int], u_i: int, engaged_to: int | None, y: int, undo: list) -> None:
@@ -953,7 +1024,8 @@ def build_general_trestle(g: Graph, matching_edges) -> TrestleCertificate:
     """
     if g.n < 3:
         raise DomainError("need at least 3 vertices")
-    cuts = connected_cutvertices(g)
+    blocks: list[list[int]] = []
+    cuts = connected_cutvertices(g, blocks)
     if cuts is None:
         raise Disconnected("host graph is not connected")
     edges = None
@@ -981,7 +1053,7 @@ def build_general_trestle(g: Graph, matching_edges) -> TrestleCertificate:
         for u, v in edges:
             partner[u] = v
             partner[v] = u
-        trestle = _Levels(g, partner, x).build(cuts)
+        trestle = _Levels(g, partner, x, blocks).build(cuts)
     cert = TrestleCertificate.of(g, trestle, 3, matching_edges=edges)
     report = verify_trestle(cert)
     if not report.passed():

@@ -287,26 +287,39 @@ def cutvertices(g: Graph) -> set[int]:
     return articulation_points(range(g.n), g.adj, [-1] * g.n, [0] * g.n)
 
 
-def connected_cutvertices(g: Graph) -> set[int] | None:
+def connected_cutvertices(g: Graph, blocks: list | None = None) -> set[int] | None:
     """The articulation points of a connected ``g``, or None if ``g`` is
-    not connected: one lowpoint DFS from vertex 0 settles both."""
+    not connected: one lowpoint DFS from vertex 0 settles both.  With a
+    list ``blocks``, the same DFS appends the blocks of 3 or more
+    vertices to it (``articulation_points``)."""
     if g.n == 0:
         return set()
     disc = [-1] * g.n
-    cuts = articulation_points([0], g.adj, disc, [0] * g.n)
+    cuts = articulation_points([0], g.adj, disc, [0] * g.n, blocks)
     return None if -1 in disc else cuts
 
 
-def articulation_points(vertices, adj, disc, low) -> set[int]:
+def articulation_points(vertices, adj, disc, low, blocks: list | None = None) -> set[int]:
     """Articulation points of the graph on ``vertices`` whose neighbour
     lists ``adj`` gives, by iterative lowpoint DFS.
 
     ``disc[v]`` must start at -1 for every vertex and ``low`` needs a
     slot for each.  Lists indexed by id and dicts keyed by the vertices
     both serve, so the search can run on part of a larger id space.
+
+    With a list ``blocks``, each block of 3 or more vertices is appended
+    to it as a vertex list, the block's highest vertex in the DFS tree
+    first.  A vertex v with parent p shares such a block with p exactly
+    when low[v] <= disc[p]: it opens a block at p when equal, and lies
+    in p's own block (that of p's edge to its parent) when lower.  Only
+    those vertices are recorded, as the search leaves them, and read
+    back in reverse, parents before children; a bridge costs nothing.
     """
     result: set[int] = set()
     timer = 0
+    # (v, parent) for each vertex that shares a block of 3 or more
+    # vertices with its parent, as the search leaves it
+    shared: list[tuple[int, int]] = []
     for root in vertices:
         if disc[root] != -1:
             continue
@@ -327,15 +340,33 @@ def articulation_points(vertices, adj, disc, low) -> set[int]:
                     low[v] = disc[w]
             else:
                 stack.pop()
+                if parent == -1:
+                    continue
+                lv, dp = low[v], disc[parent]
+                if lv < dp:
+                    shared.append((v, parent))
+                    if lv < low[parent]:
+                        low[parent] = lv
+                    continue
+                if lv == dp:
+                    shared.append((v, parent))
                 if parent == root:
                     root_children += 1
-                elif parent != -1:
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] >= disc[parent]:
-                        result.add(parent)
+                else:
+                    result.add(parent)
         if root_children >= 2:
             result.add(root)
+    if blocks is not None:
+        # the index in ``blocks`` of the block of each recorded vertex's
+        # edge to its parent
+        of: dict[int, int] = {}
+        for v, parent in reversed(shared):
+            if low[v] == disc[parent]:
+                of[v] = len(blocks)
+                blocks.append([parent, v])
+            else:
+                b = of[v] = of[parent]
+                blocks[b].append(v)
     return result
 
 

@@ -15,7 +15,7 @@ Three decision engines live here:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .graphs import DomainError, Graph, InternalInvariantError, Tree, tree_bfs
@@ -249,9 +249,27 @@ def minimal_hall_violator(g: Graph, red: set[int] | frozenset[int]) -> HallViola
     when the red is processed; every red a search reaches is matched,
     so it was processed earlier.
     """
+    return _violator(_one_end_rows(g, red, "red vertex"))
+
+
+def tree_hall_violator(t: Graph, counts: Sequence[int]) -> HallViolator | None:
+    """``minimal_hall_violator`` of a tree and its own red set, the
+    vertices v with counts[v] = n(v) >= 3 (``tree_profile``).
+
+    The reds come in id order from the counts, read only as far as
+    Kuhn's search goes, and a neighbour is black when its count is
+    below 3, so no red set is built or sorted.
+    """
+    adj = t.adj
+    return _violator((x, [y for y in adj[x] if counts[y] < 3]) for x, c in enumerate(counts) if c >= 3)
+
+
+def _violator(rows: Iterable[tuple[int, list[int]]]) -> HallViolator | None:
+    """The violator of ``minimal_hall_violator``, from the rows of its
+    bipartite graph, reds in id order."""
     adjacency: dict[int, list[int]] = {}
     partner: dict[int, int] = {}
-    root = next(_kuhn(_one_end_rows(g, red, "red vertex"), adjacency, partner), None)
+    root = next(_kuhn(rows, adjacency, partner), None)
     if root is None:
         return None
     violator = {root}

@@ -21,7 +21,7 @@ from .graphs import (
     square,
     write_graph6,
 )
-from .matching_flow import feasible_assignment, minimal_hall_violator
+from .matching_flow import feasible_assignment, tree_hall_violator
 from .patterns import centre_witness, tree_profile
 
 
@@ -40,7 +40,8 @@ class ObstructionWitness:
     redness: dict[int, tuple[int, ...]]
 
     def check(self, t: Tree) -> None:
-        """Raise InternalInvariantError unless the witness holds in ``t``.
+        """Raise InternalInvariantError unless the witness holds in ``t``;
+        no malformed witness raises anything else.
 
         The subtree's edges are read from its own vertices' neighbour
         lists, so the check costs about the witness's size, not the
@@ -53,36 +54,34 @@ class ObstructionWitness:
         # has no edges, so the count falls short
         if sum(map(len, adj_in_s.values())) != 2 * (len(s) - 1):
             raise InternalInvariantError("witness vertex set does not induce a subtree")
+        if not s.issuperset(self.special):
+            raise InternalInvariantError("special vertex outside the subtree")
 
         def non_leaf_within(v: int) -> int:
             return sum(1 for u in adj_in_s[v] if len(adj_in_s[u]) >= 2)
 
         if self.kind == "spider":
+            if len(self.special) != 1:
+                raise InternalInvariantError("spider witness does not have one special vertex")
             (centre,) = self.special
             if non_leaf_within(centre) < 4:
                 raise InternalInvariantError("spider witness centre is not a 4-centre")
             return
         if self.kind != "hall":
             raise InternalInvariantError(f"unknown witness kind {self.kind!r}")
-        profile = tree_profile(t)
-        red = profile.red_set()
+        counts = tree_profile(t).non_leaf_neighbours
         for r in self.special:
             if non_leaf_within(r) < 3:
                 raise InternalInvariantError(f"special vertex {r} is not red within the subtree")
             if t.degree(r) > 3:
                 raise InternalInvariantError(f"special vertex {r} has degree > 3 in the host")
-        expected_black = {
-            u
-            for r in self.special
-            for u in t.adj[r]
-            if u not in red
-        }
+        expected_black = {u for r in self.special for u in t.adj[r] if counts[u] < 3}
         if set(self.black_neighbourhood) != expected_black:
             raise InternalInvariantError("black neighbourhood mismatch")
         if len(self.black_neighbourhood) != len(self.special) - 1:
             raise InternalInvariantError("deficiency is not exactly 1")
         for r in self.special:
-            marks = self.redness[r]
+            marks = self.redness.get(r, ())
             if len(marks) != 3 or any(u not in t.adj[r] or u not in s for u in marks):
                 raise InternalInvariantError(f"bad redness marks at {r}")
 
@@ -146,8 +145,7 @@ def check_obstruction(t: Tree) -> ObstructionWitness | None:
         )
         witness.check(t)
         return witness
-    red = profile.red_set()
-    violator = minimal_hall_violator(t, red)
+    violator = tree_hall_violator(t, counts)
     if violator is None:
         return None
     special = tuple(sorted(violator.red_set))
@@ -309,7 +307,7 @@ def _derive_attachment(t0: FFamilyMember, small: dict[int, list[Tree]]) -> Attac
                 grown, amap = _grow(t0, pivot, branch, AttachmentPattern(a, v, v))
                 if not _is_obstruction(grown.tree):
                     continue
-                violator = minimal_hall_violator(grown.tree, tree_profile(grown.tree).red_set())
+                violator = tree_hall_violator(grown.tree, tree_profile(grown.tree).non_leaf_neighbours)
                 specials = set(grown.special)
                 if violator is None or not specials < violator.red_set:
                     continue

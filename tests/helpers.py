@@ -273,6 +273,22 @@ def three_clique_hub(m: int, bare: int = 0) -> Graph:
     return Graph(n, edges)
 
 
+def backward_ladder(m: int) -> Graph:
+    """The ladder with rungs a_i b_i (i < m), a_i = i along one side and
+    b_i = 2m - 1 - i along the other, and a leaf 2m at a_0.
+
+    Its maximum degree is 3 and no vertex centres an induced S(K_{1,3}),
+    so the general builder takes it with an empty matching.  Each cut
+    at a_i drops the edge b_i b_{i+1} alone, which comes last in sorted
+    order, so the ladder's one block is cut m - 1 times, each time
+    losing two vertices.
+    """
+    edges = [(i, i + 1) for i in range(m - 1)]
+    edges += [(2 * m - 2 - i, 2 * m - 1 - i) for i in range(m - 1)]
+    edges += [(i, 2 * m - 1 - i) for i in range(m)]
+    return Graph(2 * m + 1, edges + [(0, 2 * m)])
+
+
 def random_red_graphs(seed: int, count: int, max_n: int = 10):
     """Yield (graph, red set) pairs: ``count`` seeded random graphs on
     1..max_n vertices, each edge present with one per-graph probability,

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from helpers import (
     EAR_HOST_17,
     RINGED_SPIDER_13,
+    backward_ladder,
     builder_matching,
     chorded_host_corpus,
     distance_two_pairs,
@@ -478,10 +479,10 @@ def test_branch_views_match_full_searches(monkeypatch):
     )
     for g, m in hosts:
         build_general_trestle(g, m.edge_list)
-    # 2428 branches opened as levels, 2225 of them inheriting their
-    # cutvertices, and 2256 centres kept in all; both kinds of branch
-    # occur.  Path branches are closed at their cut and open no level
-    assert hook.levels > 2000 and hook.levels // 2 < hook.inherited < hook.levels
+    # 2428 branches opened as levels, every one inheriting its
+    # cutvertices, and 2256 centres kept in all.  Path branches are
+    # closed at their cut and open no level
+    assert hook.levels > 2000 and hook.inherited == hook.levels
     assert hook.retained > 1000
 
 
@@ -496,6 +497,31 @@ def test_chorded_prufer_branch_views_match_full_searches(t, chords, rng):
         build_general_trestle(g, matching.edge_list)
     finally:
         general_trestle._level_hook = saved
+
+
+def test_block_hosts_branch_views_match_full_searches(monkeypatch):
+    # the hub's cut drops every edge of its three cliques, leaving no
+    # block, and each clique vertex with its leaf opens a level, as it
+    # is an end of dropped edges; the backward ladder's one block is cut
+    # again and again, a rung off at each cut.  Every branch inherits
+    # its cutvertices
+    hook = _FullSearch()
+    monkeypatch.setattr(general_trestle, "_level_hook", hook)
+    for m, bare in ((3, 0), (4, 1), (6, 2)):
+        build_general_trestle(three_clique_hub(m, bare), [(0, 1)])
+    assert hook.levels == 3 * (3 + 3 + 4)
+    blocked = []
+    monkeypatch.setattr(general_trestle, "_cut_hook", lambda searched, block: blocked.append(block))
+    for m in (3, 8, 30):
+        g = backward_ladder(m)
+        assert centres(g, 3) == set()
+        opened = hook.levels
+        blocked.clear()
+        build_general_trestle(g, [])
+        assert hook.levels - opened >= m - 2
+        # the cut at a_i scans the ladder on the rungs i.. in full
+        assert blocked[: m - 1] == [2 * (m - i) for i in range(m - 1)]
+    assert hook.inherited == hook.levels
 
 
 def test_centre_across_a_dropped_edge_is_re_tested(monkeypatch):

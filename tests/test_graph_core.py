@@ -85,6 +85,52 @@ def test_cutvertices_are_the_vertices_whose_removal_adds_a_component(case):
     assert found == {ids[v] for v in expected}
 
 
+def _two_connected_sets(g: Graph) -> list[frozenset]:
+    """The vertex sets, 3 or more vertices, that induce a 2-connected
+    subgraph of ``g``, by trying every subset."""
+    found = []
+    for mask in range(1 << g.n):
+        vs = [v for v in range(g.n) if mask >> v & 1]
+        if len(vs) >= 3:
+            index = {v: i for i, v in enumerate(vs)}
+            edges = [(index[u], index[w]) for u in vs for w in g.adj[u] if w in index and u < w]
+            h = Graph(len(vs), edges)
+            if is_two_connected(h):
+                found.append(frozenset(vs))
+    return found
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16),
+            st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True),
+        )
+    )
+)
+def test_blocks_are_the_maximal_two_connected_sets(case):
+    # the blocks of 3 or more vertices that the cutvertex DFS collects
+    # are the maximal vertex sets inducing a 2-connected subgraph, each
+    # listed once, the DFS tree's highest vertex first
+    n, pairs, ids = case
+    g = Graph(n, [e for e in pairs if e[0] != e[1]])
+    sets = _two_connected_sets(g)
+    maximal = {s for s in sets if not any(s < t for t in sets)}
+    blocks: list[list[int]] = []
+    disc = [-1] * n
+    cuts = graphs.articulation_points(range(n), g.adj, disc, [0] * n, blocks)
+    assert cuts == cutvertices(g)
+    assert len(blocks) == len(maximal) and set(map(frozenset, blocks)) == maximal
+    for block in blocks:
+        assert min(block, key=disc.__getitem__) == block[0]
+    # the same graph on part of a larger id space, keyed by dicts
+    adj = {ids[v]: [ids[w] for w in g.adj[v]] for v in range(n)}
+    keyed: list[list[int]] = []
+    graphs.articulation_points(ids, adj, dict.fromkeys(ids, -1), dict.fromkeys(ids, 0), keyed)
+    assert {frozenset(ids[v] for v in b) for b in blocks} == set(map(frozenset, keyed))
+
+
 def test_two_connected():
     assert is_two_connected(cycle_graph(4))
     assert not is_two_connected(path_graph(4))

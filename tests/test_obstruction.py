@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,7 +8,15 @@ import pytest
 from helpers import base_patterns, f_family_chain, random_bounded_tree
 
 from trestles import obstruction
-from trestles.graphs import DomainError, SearchBudgetExhausted, Tree, path_graph, spider, square
+from trestles.graphs import (
+    DomainError,
+    InternalInvariantError,
+    SearchBudgetExhausted,
+    Tree,
+    path_graph,
+    spider,
+    square,
+)
 from trestles.obstruction import check_obstruction, compose, f_family
 from trestles.oracle import brute_force_trestle, enumerate_trees
 from trestles.patterns import is_caterpillar
@@ -55,6 +64,32 @@ def test_t0_shape():
     assert w is not None and w.kind == "hall"
     assert w.special == t0.special
     assert w.black_neighbourhood == ()
+
+
+def _t0_witness_with(change):
+    """The T_0 witness, a copy of it with ``change(witness)`` as fields,
+    and T_0."""
+    t = base_patterns().t0.tree
+    w = check_obstruction(t)
+    return w, dataclasses.replace(w, **change(w)), t
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda w: {"redness": {}}, "bad redness marks"),
+        (lambda w: {"special": (w.special[0], 16)}, "special vertex outside the subtree"),
+        (lambda w: {"kind": "spider", "special": w.subtree[:2]}, "does not have one special vertex"),
+    ],
+    ids=["no-redness", "special-outside", "spider-two-specials"],
+)
+def test_malformed_witness_is_an_internal_fault(change, message):
+    # each used to escape as a KeyError or a ValueError
+    w, bad, t = _t0_witness_with(change)
+    w.check(t)
+    assert t.n == 16 and 16 not in w.subtree
+    with pytest.raises(InternalInvariantError, match=message):
+        bad.check(t)
 
 
 def test_everything_below_t0_is_feasible():

@@ -2,8 +2,9 @@
 Kuhn's search and the obstruction witness must not recurse.
 
 The decisions, builds and witnesses below run on trees with up to 10^5
-vertices and on a 3000-vertex cycle; the matching instance needs an
-augmenting path longer than the interpreter's recursion limit.
+vertices, on a chorded tree of 10^5 vertices and on a 3000-vertex
+cycle; the matching instance needs an augmenting path longer than the
+interpreter's recursion limit.
 """
 
 import random
@@ -18,12 +19,15 @@ from helpers import (
     random_bounded_tree,
     random_caterpillar,
     reference_hall_violator,
+    sprinkle_chords,
+    subdivided_tree,
 )
+from trestles import general_trestle
 from trestles.general_trestle import build_general_trestle
-from trestles.graphs import Tree, cycle_graph
-from trestles.matching_flow import max_bipartite_matching
+from trestles.graphs import Tree, connected_cutvertices, cycle_graph
+from trestles.matching_flow import max_bipartite_matching, theorem1_matching
 from trestles.obstruction import check_obstruction
-from trestles.patterns import tree_profile
+from trestles.patterns import centres, tree_profile
 from trestles.tree_trestle import build_tree_trestle, decide_tree_trestle
 from trestles.verify import TrestleCertificate, verify_trestle
 
@@ -145,6 +149,33 @@ def test_spine_10000_comb_general_build():
     matched = matching.covered()
     degrees = cert.degrees()
     assert all(degrees[v] == 2 for v in range(comb.n) if v not in matched)
+
+
+@pytest.mark.slow
+def test_chorded_subdivided_host_cuts_scan_linearly(monkeypatch):
+    # one distance-2 chord per 50 vertices, as on the benchmark's hosts:
+    # every chord closes a short cycle, which its first cut breaks into
+    # paths, so the cuts scan each block once at most (0.06 n vertices
+    # in all), and their searches, small to large, reach about 9.2 n
+    rng = random.Random(1)
+    tree = subdivided_tree(rng, N // 2 + 1)
+    g = sprinkle_chords(rng, tree, tree.n // 50)
+    blocks: list[list[int]] = []
+    connected_cutvertices(g, blocks)
+    searched, blocked = [], []
+    monkeypatch.setattr(general_trestle, "_cut_hook", lambda s, b: (searched.append(s), blocked.append(b)))
+    matching = theorem1_matching(g, centres(g, 3))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 100)
+    try:
+        cert = build_general_trestle(g, matching.edge_list)
+    finally:
+        sys.setrecursionlimit(limit)
+    degrees, matched = cert.degrees(), matching.covered()
+    assert all(degrees[v] == 2 for v in range(g.n) if v not in matched)
+    assert len(blocks) > g.n // 60
+    assert 0 < sum(blocked) <= sum(map(len, blocks))
+    assert sum(searched) < 12 * g.n
 
 
 def test_long_cycle_builds_through_the_hamilton_search():
