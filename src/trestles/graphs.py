@@ -318,7 +318,9 @@ def articulation_points(vertices, adj, disc, low, blocks: list | None = None) ->
     result: set[int] = set()
     timer = 0
     # (v, parent) for each vertex that shares a block of 3 or more
-    # vertices with its parent, as the search leaves it
+    # vertices with its parent, as the search leaves it; kept only when
+    # the blocks are asked for
+    keep = blocks is not None
     shared: list[tuple[int, int]] = []
     for root in vertices:
         if disc[root] != -1:
@@ -344,11 +346,12 @@ def articulation_points(vertices, adj, disc, low, blocks: list | None = None) ->
                     continue
                 lv, dp = low[v], disc[parent]
                 if lv < dp:
-                    shared.append((v, parent))
+                    if keep:
+                        shared.append((v, parent))
                     if lv < low[parent]:
                         low[parent] = lv
                     continue
-                if lv == dp:
+                if lv == dp and keep:
                     shared.append((v, parent))
                 if parent == root:
                     root_children += 1

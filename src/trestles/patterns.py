@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graphs import DomainError, Graph, Tree
 
@@ -87,12 +86,7 @@ class TreeProfile:
         return self.non_leaf_neighbours[v]
 
     def red_set(self) -> frozenset[int]:
-        """The vertices with n(v) >= 3, as a frozenset built on the
-        first call and kept, so every caller on one profile shares it."""
-        return self._red
-
-    @cached_property
-    def _red(self) -> frozenset[int]:
+        """The vertices with n(v) >= 3."""
         return frozenset([v for v, c in enumerate(self.non_leaf_neighbours) if c >= 3])
 
 

@@ -451,7 +451,6 @@ class _FullSearch:
 
     def __init__(self):
         self.levels = 0
-        self.inherited = 0
         self.retained = 0
 
     def __call__(self, adj, vs, view, found, cuts):
@@ -464,9 +463,7 @@ class _FullSearch:
             assert has_spider3(view, v, sets) == (spider_witness(view, v, 3, sets) is not None)
         h = Graph(len(vs), [(index[u], index[w]) for u in vs for w in adj[u] if w in inside])
         assert {vs[i] for i in centres(h, 3)} == found
-        if cuts is not None:
-            assert {vs[i] for i in cutvertices(h)} == cuts
-            self.inherited += 1
+        assert {vs[i] for i in cutvertices(h)} == cuts
         self.levels += 1
         self.retained += len(found)
 
@@ -479,10 +476,10 @@ def test_branch_views_match_full_searches(monkeypatch):
     )
     for g, m in hosts:
         build_general_trestle(g, m.edge_list)
-    # 2428 branches opened as levels, every one inheriting its
-    # cutvertices, and 2256 centres kept in all.  Path branches are
-    # closed at their cut and open no level
-    assert hook.levels > 2000 and hook.inherited == hook.levels
+    # 2428 branches opened as levels, each with its inherited
+    # cutvertices checked, and 2256 centres kept in all.  Path branches
+    # are closed at their cut and open no level
+    assert hook.levels > 2000
     assert hook.retained > 1000
 
 
@@ -521,7 +518,6 @@ def test_block_hosts_branch_views_match_full_searches(monkeypatch):
         assert hook.levels - opened >= m - 2
         # the cut at a_i scans the ladder on the rungs i.. in full
         assert blocked[: m - 1] == [2 * (m - i) for i in range(m - 1)]
-    assert hook.inherited == hook.levels
 
 
 def test_centre_across_a_dropped_edge_is_re_tested(monkeypatch):
