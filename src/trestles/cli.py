@@ -22,9 +22,9 @@ in the certificate when one exists.  Identical invocations produce
 byte-identical output.
 
 Each process runs one command, so importing this module loads only
-``argparse``, ``json``, ``sys`` and ``trestles.graphs``; any other
-module is imported inside the function that calls it, so the commands
-load:
+``argparse``, ``gc``, ``json``, ``sys`` and ``trestles.graphs``; any
+other module is imported inside the function that calls it, so the
+commands load (each that prints JSON also ``jsontext``, to write it):
 
 - ``square``: nothing more;
 - ``centres``: ``patterns``;
@@ -44,6 +44,7 @@ load:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -76,8 +77,9 @@ def _read_input(path: str | None, fmt: str) -> Graph:
 
 
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True))
-    sys.stdout.write("\n")
+    from .jsontext import indented
+
+    sys.stdout.write(indented(payload) + "\n")
 
 
 def _write_dot(path: str | None, g: Graph, highlight=()) -> None:
@@ -352,6 +354,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # reference counting frees a command's objects; the cyclic collector
+    # would only sweep its millions of tuples again and again
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except SearchBudgetExhausted:
@@ -372,6 +378,9 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

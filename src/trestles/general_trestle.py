@@ -1054,7 +1054,7 @@ def build_general_trestle(g: Graph, matching_edges) -> TrestleCertificate:
             partner[u] = v
             partner[v] = u
         trestle = _Levels(g, partner, x, blocks).build(cuts)
-    cert = TrestleCertificate.of(g, trestle, 3, matching_edges=edges)
+    cert = TrestleCertificate(g, tuple(sorted(trestle)), 3, edges)
     report = verify_trestle(cert)
     if not report.passed():
         raise InternalInvariantError(

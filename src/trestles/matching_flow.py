@@ -22,7 +22,7 @@ from .graphs import DomainError, Graph, InternalInvariantError, Tree, tree_bfs
 from .patterns import tree_profile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matching:
     """Vertex-disjoint edge set of a host graph."""
 
@@ -46,7 +46,7 @@ class Matching:
         return len(self.edge_list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HallViolator:
     """A red set R with |N(R)| < |R| in the red-black bipartite graph."""
 
@@ -54,7 +54,7 @@ class HallViolator:
     neighbourhood: frozenset[int]
 
 
-@dataclass
+@dataclass(slots=True)
 class ArcAssignment:
     """Non-negative integers on the arcs of a tree's symmetric orientation.
 

@@ -25,7 +25,7 @@ from .matching_flow import feasible_assignment, tree_hall_violator
 from .patterns import centre_witness, tree_profile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObstructionWitness:
     """Subtree certifying that the host tree square has no 3-trestle.
 
@@ -95,7 +95,7 @@ class ObstructionWitness:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FFamilyMember:
     tree: Tree
     special: tuple[int, ...]
@@ -108,7 +108,7 @@ class FFamilyMember:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttachmentPattern:
     """The glue tree A: v is identified with a special, w becomes special."""
 
@@ -117,7 +117,7 @@ class AttachmentPattern:
     w: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasePatterns:
     t0: FFamilyMember
     attachment: AttachmentPattern

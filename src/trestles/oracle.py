@@ -149,7 +149,12 @@ def brute_force_trestle(
                     degree[w] -= 1
         return None
 
-    return rec(0)
+    try:
+        return rec(0)
+    finally:
+        # rec refers to itself through its closure; unbound, it and the
+        # search's state are freed at once, with no cyclic collection
+        del rec
 
 
 def brute_force_trestle_by_degrees(

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from .graphs import DomainError, Graph, Tree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpiderEmbedding:
     """An induced S(K_{1,k}) inside a host graph.
 
@@ -76,7 +76,7 @@ class SpiderEmbedding:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeProfile:
     """Per-vertex non-leaf-neighbour counts n(v); red means n(v) >= 3."""
 
@@ -139,7 +139,9 @@ def _spider_at(adj, centre: int, k: int, sets) -> SpiderEmbedding | None:
                     return found
         return None
 
-    return extend([], [], {centre})
+    found = extend([], [], {centre})
+    del extend  # it refers to itself: unbound, it is freed at once
+    return found
 
 
 def has_spider3(adj, v: int, sets) -> bool:

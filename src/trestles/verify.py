@@ -12,12 +12,18 @@ iterator) frames on an explicit stack; a frame resumes its iterator
 where it stopped, so vertices are met in the order of the recursive
 search and the first cutvertex reported is the one an index-based or
 recursive search would report.
+
+Every check runs on every certificate.  A check that passes appends
+its one shared entry, ``CheckResult(name, True, "")``, made once at
+import; only a failing check builds an entry, with its detail.  So a
+passing report is a list of shared constants.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .graphs import Graph
@@ -31,7 +37,7 @@ def _degrees(n: int, edges) -> list[int]:
     return degs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrestleCertificate:
     """A claimed k-trestle of the square of ``host``."""
 
@@ -74,12 +80,21 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-@dataclass
+# the entry of each check that passes, shared by every report
+_SQUARE_OK = CheckResult("edges_in_square", True)
+_SPANNING_OK = CheckResult("spanning", True)
+_TWO_CONNECTED_OK = CheckResult("two_connected", True)
+_MAX_DEGREE_OK = CheckResult("max_degree", True)
+_MATCHED_OK = CheckResult("degree3_matched", True)
+_DEGREES_OK = CheckResult("exact_degrees", True)
+
+
+@dataclass(slots=True)
 class VerificationReport:
     checks: list[CheckResult] = field(default_factory=list)
 
     def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return all(map(itemgetter(1), self.checks))
 
     def failed_checks(self) -> list[str]:
         return [c.check for c in self.checks if not c.ok]
@@ -161,29 +176,28 @@ def verify_trestle(cert: TrestleCertificate) -> VerificationReport:
             if e in seen:
                 bad.append(e)
             seen.add(e)
-    checks = [
-        CheckResult("edges_in_square", not bad, f"offending edges: {bad[:5]}" if bad else "")
-    ]
     if bad:
-        # an endpoint outside the host fails the check above; the other
-        # checks see only the edges between host vertices
+        checks = [CheckResult("edges_in_square", False, f"offending edges: {bad[:5]}")]
+        # an endpoint outside the host fails this check; the other checks
+        # see only the edges between host vertices
         edges = tuple((u, v) for u, v in edges if 0 <= u < n and 0 <= v < n)
+    else:
+        checks = [_SQUARE_OK]
     adj = _adjacency(n, edges)
     degs = list(map(len, adj))
     # each list below is built only when a quick test finds an entry
     isolated = [v for v in range(n) if degs[v] == 0] if 0 in degs else []
-    checks.append(
-        CheckResult(
-            "spanning",
-            n >= 3 and not isolated,
-            f"untouched vertices: {isolated[:5]}" if isolated else "",
-        )
-    )
-    checks.append(CheckResult("two_connected", *_biconnected(n, adj)))
-    over = [v for v in range(n) if degs[v] > k] if max(degs, default=0) > k else []
-    checks.append(
-        CheckResult("max_degree", not over, f"degree > k at: {over[:5]}" if over else "")
-    )
+    if isolated:
+        checks.append(CheckResult("spanning", False, f"untouched vertices: {isolated[:5]}"))
+    else:
+        checks.append(_SPANNING_OK if n >= 3 else CheckResult("spanning", False))
+    ok, reason = _biconnected(n, adj)
+    checks.append(_TWO_CONNECTED_OK if ok else CheckResult("two_connected", False, reason))
+    if max(degs, default=0) > k:
+        over = [v for v in range(n) if degs[v] > k]
+        checks.append(CheckResult("max_degree", False, f"degree > k at: {over[:5]}"))
+    else:
+        checks.append(_MAX_DEGREE_OK)
     if cert.matching_edges is not None:
         # each pair must be a host edge that shares no vertex with another
         uses = Counter(v for e in cert.matching_edges for v in e)
@@ -198,18 +212,16 @@ def verify_trestle(cert: TrestleCertificate) -> VerificationReport:
             why.append(f"pairs that are not a matching of the host: {stray[:5]}")
         if unmatched3:
             why.append(f"unmatched degree-3 vertices: {unmatched3[:5]}")
-        checks.append(CheckResult("degree3_matched", not why, "; ".join(why)))
-    if cert.expected_degrees is not None:
-        expected = cert.expected_degrees
+        checks.append(CheckResult("degree3_matched", False, "; ".join(why)) if why else _MATCHED_OK)
+    expected = cert.expected_degrees
+    if expected is not None:
         wrong = []
         if tuple(degs) != expected:
             # a vertex past the end of a short list has no expected degree
             wrong = [v for v in range(n) if v >= len(expected) or degs[v] != expected[v]]
         checks.append(
-            CheckResult(
-                "exact_degrees",
-                not wrong,
-                f"degree mismatches at: {wrong[:5]}" if wrong else "",
-            )
+            CheckResult("exact_degrees", False, f"degree mismatches at: {wrong[:5]}")
+            if wrong
+            else _DEGREES_OK
         )
     return VerificationReport(checks)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -526,3 +527,35 @@ def test_determinism_of_build(capsys, p5):
     _, out1 = run(capsys, "build", p5, "--k", "3")
     _, out2 = run(capsys, "build", p5, "--k", "3")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
+def test_a_command_pauses_the_collector_and_restores_it(capsys, monkeypatch, p5, enabled):
+    seen = []
+    real = tree_trestle.build_tree_trestle
+
+    def build(*args):
+        seen.append(gc.isenabled())
+        if len(seen) == 2:
+            raise KeyError("fault")
+        if len(seen) == 3:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(tree_trestle, "build_tree_trestle", build)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        # a normal return, a usage error, an internal fault and an
+        # interrupt, which main does not catch
+        assert main(["build", p5, "--k", "3"]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["decide", "/nonexistent/file.el", "--k", "3"]) == 2
+        assert gc.isenabled() is enabled
+        assert main(["build", p5, "--k", "3"]) == 3
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyboardInterrupt):
+            main(["build", p5, "--k", "3"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False, False, False]

@@ -74,6 +74,7 @@ def test_tree_build_loads_the_tree_modules_only(tmp_path):
         "trestles",
         "trestles.cli",
         "trestles.graphs",
+        "trestles.jsontext",
         "trestles.matching_flow",
         "trestles.patterns",
         "trestles.tree_trestle",
@@ -100,6 +101,7 @@ def test_obstruction_loads_no_oracle(tmp_path):
         "trestles",
         "trestles.cli",
         "trestles.graphs",
+        "trestles.jsontext",
         "trestles.matching_flow",
         "trestles.obstruction",
         "trestles.patterns",

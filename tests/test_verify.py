@@ -4,7 +4,13 @@ import random
 
 from hypothesis import given, strategies as st
 
+from helpers import chorded_host_corpus
+
+from trestles import verify
+from trestles.general_trestle import build_general_trestle
 from trestles.graphs import Graph, complete_graph, path_graph, spider
+from trestles.oracle import enumerate_trees
+from trestles.tree_trestle import build_tree_trestle, decide_tree_trestle
 from trestles.verify import TrestleCertificate, _adjacency, _biconnected, verify_trestle
 
 
@@ -206,6 +212,73 @@ def test_broken_certificate_reports_are_pinned():
     assert {"fewer", "cutvertex", "not"} <= why
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == BROKEN_REPORTS_DIGEST
+
+
+# SHA-256 of the reports below, taken while every check still built its
+# own entry, passing or not
+PASSING_REPORTS_DIGEST = "8af3c870c1f1686939d8d3d3a1318935997072c273595df5b51b6a9632ca25d5"
+
+SHARED_PASSES = {
+    entry.check: entry
+    for entry in (
+        verify._SQUARE_OK,
+        verify._SPANNING_OK,
+        verify._TWO_CONNECTED_OK,
+        verify._MAX_DEGREE_OK,
+        verify._MATCHED_OK,
+        verify._DEGREES_OK,
+    )
+}
+
+
+def _built_certificates():
+    """Every certificate of the free trees with 3 <= n <= 10 at k = 2, 3,
+    4 (exact degrees), then the general builder's on a chorded corpus
+    (with the matching)."""
+    for n in range(3, 11):
+        for t in enumerate_trees(n):
+            for k in (2, 3, 4):
+                a = decide_tree_trestle(t, k)
+                if a is not None:
+                    yield build_tree_trestle(t, k, a)
+    for g, m in chorded_host_corpus(11):
+        yield build_general_trestle(g, m.edge_list)
+
+
+def test_passing_reports_are_pinned_and_shared():
+    reports = [verify_trestle(cert) for cert in _built_certificates()]
+    digest = hashlib.sha256(json.dumps([r.to_jsonable() for r in reports]).encode()).hexdigest()
+    assert digest == PASSING_REPORTS_DIGEST
+    assert {len(r.checks) for r in reports} == {5}
+    for report in reports:
+        assert report.passed()
+        assert all(entry is SHARED_PASSES[entry.check] for entry in report.checks)
+    assert all(entry == (name, True, "") for name, entry in SHARED_PASSES.items())
+
+
+def test_failing_checks_keep_their_details():
+    # every check runs, and a failing one builds its own entry
+    for cert in _broken_certificates():
+        for entry in verify_trestle(cert).checks:
+            if entry.ok:
+                assert entry is SHARED_PASSES[entry.check]
+            else:
+                assert entry is not SHARED_PASSES[entry.check]
+                assert entry.detail or entry.check == "spanning"
+    p = path_graph(5)
+    edges = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (1, 4)]
+    report = verify_trestle(TrestleCertificate.of(p, edges, 2, [(0, 1)], [2] * 5))
+    assert report.to_jsonable() == [
+        {"check": "edges_in_square", "pass": False, "detail": "offending edges: [(1, 4)]"},
+        {"check": "spanning", "pass": True, "detail": ""},
+        {"check": "two_connected", "pass": True, "detail": ""},
+        {"check": "max_degree", "pass": False, "detail": "degree > k at: [1, 4]"},
+        {"check": "degree3_matched", "pass": False, "detail": "unmatched degree-3 vertices: [4]"},
+        {"check": "exact_degrees", "pass": False, "detail": "degree mismatches at: [1, 4]"},
+    ]
+    # fewer than 3 vertices fail spanning with no detail
+    tiny = verify_trestle(TrestleCertificate.of(path_graph(2), [(0, 1)], 2))
+    assert tiny.checks[1] == ("spanning", False, "")
 
 
 @st.composite
